@@ -197,6 +197,55 @@ class TestFabricatedFailures:
         assert not result.passed
         assert result.witness == "diameter 3 exceeds bound 2"
 
+    # (law, neighborhoods of the path a b ... in order, chain multiplicities,
+    # exact witness); the clique is the union of the neighborhoods.
+    PINNED_WITNESSES = [
+        ("path-max-at-ends", {"a": "x", "b": "x", "c": "xy", "d": "x", "e": "x"},
+         (1, 1, 1, 1), "path a b c d e; max degree 2 only at interior positions"),
+        ("path-inclusion-chain", {"a": "xy", "b": "y", "c": "xz"},
+         (1, 1), "path a b c; positions 1 vs 3"),
+        ("path-union-collapse", {"a": "xy", "b": "y", "c": "xz"},
+         (1, 1), "path a b c; position 1 misses later neighbors"),
+        ("path-parity-monotone", {"a": "xy", "b": "x", "c": "y", "d": "xy"},
+         (1, 1, 1), "path a b c d; positions 2 vs 4"),
+        ("path-min-at-tail", {"a": "xyz", "b": "x", "c": "xy", "d": "yz"},
+         (1, 1, 1), "path a b c d; minimum not within last two positions"),
+        ("first-edge-divisible-by-union-excess", {"a": "xy", "b": "zw"},
+         (3,), "path a b; union excess 2 does not divide first multiplicity 3"),
+        ("first-edge-divisible-by-union-excess", {"a": "xy", "b": "x"},
+         (1,), "path a b; degenerate divisor (internal inconsistency)"),
+        ("first-edge-divisible-by-clique-excess", {"a": "xy", "b": "zw"},
+         (3,), "path a b; clique excess 2 does not divide first multiplicity 3"),
+        ("first-edge-divisible-by-clique-excess", {"a": "xy", "b": "x"},
+         (1,), "path a b; degenerate divisor (internal inconsistency)"),
+        ("union-sqrt-bound", {"a": "xy", "b": "zw"},
+         (2,), "path a b; union excess 2 exceeds sqrt of first multiplicity 2"),
+        ("p3-pendant-difference", {"a": "xy", "b": "zw", "c": "xy"},
+         (1, 1), "path a b c; head/tail private neighbors differ"),
+        ("p3-tail-decomposition", {"a": "x", "b": "y", "c": "z"},
+         (1, 1), "path a b c; tail neighborhood fails the pendant decomposition"),
+        ("p3-first-multiplicity", {"a": "x", "b": "y", "c": "x"},
+         (2, 1), "path a b c; first multiplicity differs from degree gap plus one"),
+        ("p4-no-simple-middle", {"a": "x", "b": "xy", "c": "y", "d": "z"},
+         (2, 1, 2), "path a b c d; simple middle edge, peak degrees"),
+        ("p4-no-simple-middle", {"a": "x", "b": "xy", "c": "y", "d": "xyz"},
+         (2, 1, 2), "path a b c d; simple middle edge, ascending degrees"),
+    ]
+
+    @pytest.mark.parametrize("law, neighborhoods, mults, witness", PINNED_WITNESSES)
+    def test_pinned_witness(self, law, neighborhoods, mults, witness):
+        labels = tuple(neighborhoods)
+        S = SplitGraph.from_neighborhoods(
+            sorted(set("".join(neighborhoods.values()))), neighborhoods
+        )
+        fake = chain(labels, mults)
+        results = [
+            *check_path_structure(S, labels, phi=fake),
+            *check_divisibility(S, labels, phi=fake),
+            *check_simple_edge_positions(S, phi=fake),
+        ]
+        assert CheckResult(law, False, witness) in results
+
 
 class TestCheckResultFormatting:
     def test_pass_line_hides_witness(self):
