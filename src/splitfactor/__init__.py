@@ -10,11 +10,9 @@ family that attains the bound.
 from .corpus import (
     CorpusSpec,
     corpus_size,
-    exhaustive_corpus,
     generate,
     instance,
     instance_id,
-    random_corpus,
     splitmix64,
 )
 from .extremal import (
@@ -42,7 +40,7 @@ from .graph import (
     parse_split_text,
     recognize_split,
 )
-from .switches import TwoSwitch, apply_two_switch, enumerate_two_switches, two_switch_degree
+from .switches import TwoSwitch, apply_two_switch, enumerate_two_switches
 from .verify import (
     CHECK_NAMES,
     CheckResult,
@@ -97,7 +95,6 @@ __all__ = [
     "enumerate_induced_cycles",
     "enumerate_induced_paths",
     "enumerate_two_switches",
-    "exhaustive_corpus",
     "expected_multiplicities",
     "format_multiplicity_listing",
     "format_split_text",
@@ -108,12 +105,10 @@ __all__ = [
     "is_induced_path",
     "load_split_file",
     "parse_split_text",
-    "random_corpus",
     "recognize_split",
     "splitmix64",
     "sweep",
     "to_dot",
-    "two_switch_degree",
     "verify_all",
     "verify_extremal",
     "__version__",

@@ -127,18 +127,3 @@ def generate(
         raise GraphError(f"range [{start}, {stop}) outside corpus of size {total}")
     for index in range(start, stop):
         yield instance_id(spec, index), instance(spec, index)
-
-
-def exhaustive_corpus(k: int, i: int) -> Iterator[SplitGraph]:
-    """Every split graph at sizes (k, i), one per neighborhood code."""
-    spec = CorpusSpec("exhaustive", k, i)
-    for _, S in generate(spec):
-        yield S
-
-
-def random_corpus(spec: CorpusSpec) -> Iterator[SplitGraph]:
-    """The seeded instance stream of a random corpus spec."""
-    if spec.mode != "random":
-        raise GraphError("random_corpus wants a spec with mode='random'")
-    for _, S in generate(spec):
-        yield S

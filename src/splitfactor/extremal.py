@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .factor import FactorGraph, build_by_formula
 from .graph import GraphError, SplitGraph
-from .switches import two_switch_degree
+from .switches import enumerate_two_switches
 from .verify import CheckResult
 
 EXTREMAL_DEGREE = "extremal-switch-degree"
@@ -118,7 +118,7 @@ def verify_extremal(inst: ExtremalInstance) -> list[CheckResult]:
     length = inst.path_length
     results: list[CheckResult] = []
 
-    degree_ok = phi.size() == n and two_switch_degree(inst.graph) == n
+    degree_ok = phi.size() == n and len(enumerate_two_switches(inst.graph)) == n
     results.append(
         CheckResult(
             EXTREMAL_DEGREE,

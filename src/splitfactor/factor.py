@@ -192,7 +192,6 @@ def build_by_formula(S: SplitGraph) -> FactorGraph:
     masks = S.adj_masks
     k = S.k_size
     n = len(labels)
-    bound = k * k
     mult: dict[tuple[str, str], int] = {}
     for a in range(k, n):
         ma = masks[a]
@@ -202,7 +201,6 @@ def build_by_formula(S: SplitGraph) -> FactorGraph:
             shared = (ma & mb).bit_count()
             m = (da - shared) * (mb.bit_count() - shared)
             if m:
-                assert m <= bound, "multiplicity exceeds |K|^2; index bookkeeping is broken"
                 mult[(labels[a], labels[b])] = m
     return FactorGraph(S.independent, mult)
 

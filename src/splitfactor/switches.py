@@ -62,11 +62,6 @@ def enumerate_two_switches(S: SplitGraph) -> list[TwoSwitch]:
     return out
 
 
-def two_switch_degree(S: SplitGraph) -> int:
-    """Number of distinct 2-switches applicable to S."""
-    return len(enumerate_two_switches(S))
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise GraphError(message)

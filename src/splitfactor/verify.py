@@ -55,13 +55,12 @@ The laws, by check name:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .corpus import CorpusSpec, corpus_size, generate
 from .factor import FactorGraph, build_by_enumeration, build_by_formula
 from .graph import GraphError, SplitGraph, bits
-from .switches import two_switch_degree
 
 BUILDERS_AGREE = "builders-agree"
 SIZE_DEGREE = "size-equals-switch-degree"
@@ -86,6 +85,10 @@ P3_DECOMP = "p3-tail-decomposition"
 P3_MULT = "p3-first-multiplicity"
 DIAMETER_BOUND = "diameter-bound"
 
+_STRUCTURE_LAWS = (PATH_MAX, PATH_INCLUSION, PATH_UNION, PATH_PARITY, PATH_MIN)
+_DIVISIBILITY_LAWS = (DIV_UNION, DIV_CLIQUE, SQRT_BOUND)
+_SIMPLE_EDGE_LAWS = (SIMPLE_TERMINAL, P4_MIDDLE, P3_PENDANT, P3_DECOMP, P3_MULT)
+
 CHECK_NAMES: tuple[str, ...] = (
     BUILDERS_AGREE,
     SIZE_DEGREE,
@@ -93,21 +96,11 @@ CHECK_NAMES: tuple[str, ...] = (
     EQUALITY_IFF,
     TWIN_ROWS,
     SIMPLE_BALANCED,
-    PATH_MAX,
-    PATH_INCLUSION,
-    PATH_UNION,
-    PATH_PARITY,
-    PATH_MIN,
+    *_STRUCTURE_LAWS,
     P5_MIDDLE,
-    DIV_UNION,
-    DIV_CLIQUE,
-    SQRT_BOUND,
+    *_DIVISIBILITY_LAWS,
     CYCLE_BOUND,
-    SIMPLE_TERMINAL,
-    P4_MIDDLE,
-    P3_PENDANT,
-    P3_DECOMP,
-    P3_MULT,
+    *_SIMPLE_EDGE_LAWS,
     DIAMETER_BOUND,
 )
 
@@ -234,17 +227,20 @@ def _induced_cycle_indices(nbr: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-def enumerate_induced_paths(phi: FactorGraph, max_len: int | None = None) -> list[InducedPath]:
-    """All induced paths on 2..max_len vertices, one canonical orientation each."""
-    n = len(phi.vertices)
+def _path_cap(n: int, max_len: int | None) -> int:
     if max_len is None:
-        max_len = max(2, n)
+        return n
     if max_len < 2:
         raise GraphError(f"max_len must be at least 2, got {max_len}")
+    return min(max_len, n)
+
+
+def enumerate_induced_paths(phi: FactorGraph, max_len: int | None = None) -> list[InducedPath]:
+    """All induced paths on 2..max_len vertices, one canonical orientation each."""
     verts = phi.vertices
     return [
         InducedPath(tuple(verts[i] for i in seq))
-        for seq in _induced_path_indices(phi.neighbor_masks(), min(max_len, n))
+        for seq in _induced_path_indices(phi.neighbor_masks(), _path_cap(len(verts), max_len))
     ]
 
 
@@ -261,15 +257,17 @@ def enumerate_induced_cycles(phi: FactorGraph) -> list[InducedCycle]:
 
 
 class _Context:
-    """Index-level view of one (S, phi) instance, built once per verification."""
+    """Index-level view of one (S, phi) instance, built once per verification.
 
-    __slots__ = ("S", "phi", "labels", "deg", "nmask", "mult", "nbr", "k_is_union", "k_size")
+    ``failed`` maps a law name to the witness of its first failure; a law
+    that never failed is absent, so witnesses are formatted only on failure.
+    """
+
+    __slots__ = ("labels", "deg", "nmask", "mult", "nbr", "k_size", "clique_law", "failed")
 
     def __init__(self, S: SplitGraph, phi: FactorGraph):
         if set(phi.vertices) != set(S.independent):
             raise GraphError("factor graph vertices do not match the independent set")
-        self.S = S
-        self.phi = phi
         self.labels = phi.vertices
         self.deg = [S.degree(v) for v in self.labels]
         self.nmask = [S.adj_masks[S.index_of(v)] for v in self.labels]
@@ -279,197 +277,189 @@ class _Context:
         union = 0
         for m in self.nmask:
             union |= m
-        self.k_is_union = union == (1 << S.k_size) - 1
+        # the clique-excess law speaks of a phi that is a path over all of I,
+        # with K the union of all I-neighborhoods
+        self.clique_law = (
+            union == (1 << S.k_size) - 1 and phi.simple_edge_count() == len(self.labels) - 1
+        )
+        self.failed: dict[str, str] = {}
 
-    def word(self, seq: Iterable[int]) -> str:
-        return " ".join(self.labels[i] for i in seq)
+    def fail(self, name: str, seq: Sequence[int], detail: str) -> None:
+        """Record a path law's failure unless an earlier one is kept."""
+        if name not in self.failed:
+            self.failed[name] = f"path {' '.join(self.labels[i] for i in seq)}; {detail}"
 
-
-def _as_index_path(ctx: _Context, path: Sequence[str] | InducedPath) -> tuple[int, ...]:
-    vertices = path.vertices if isinstance(path, InducedPath) else tuple(path)
-    if not is_induced_path(ctx.phi, vertices):
-        raise GraphError(f"not an induced path: {' '.join(vertices)}")
-    return tuple(ctx.phi.index_of(v) for v in vertices)
-
-
-# -- per-path predicates (index level) ----------------------------------------------
-
-
-def _eq_max_result(ctx: _Context, p: tuple[int, ...]) -> tuple[bool, str | None]:
-    d = [ctx.deg[v] for v in p]
-    top = max(d)
-    if top in (d[0], d[1], d[-2], d[-1]):
-        return True, None
-    return False, f"path {ctx.word(p)}; max degree {top} only at interior positions"
+    def results(self, names: Iterable[str]) -> list[CheckResult]:
+        return [CheckResult(name, name not in self.failed, self.failed.get(name)) for name in names]
 
 
-def _head_max_orientations(ctx: _Context, p: tuple[int, ...]) -> list[tuple[int, ...]]:
-    d = [ctx.deg[v] for v in p]
-    top = max(d)
-    out = []
-    if d[0] == top:
-        out.append(p)
-    if d[-1] == top and p[::-1] != p:
-        out.append(p[::-1])
-    return out
+# -- law predicates (index level) ---------------------------------------------------
 
 
-def _oriented_item_results(ctx: _Context, seq: tuple[int, ...]) -> dict[str, tuple[bool, str | None]]:
-    """Items for one orientation whose head degree attains the path max."""
-    deg, nmask = ctx.deg, ctx.nmask
-    d = [deg[v] for v in seq]
-    N = [nmask[v] for v in seq]
+def _check_pairs(ctx: _Context) -> int:
+    """Pair laws over every ordered pair; returns the number of equal-neighborhood pairs."""
+    labels, deg, nmask, nbr, failed = ctx.labels, ctx.deg, ctx.nmask, ctx.nbr, ctx.failed
+    n = len(labels)
+    equal_pairs = 0
+    for a in range(n):
+        da, Na = deg[a], nmask[a]
+        for b in range(n):
+            if a == b:
+                continue
+            m = ctx.mult(a, b)
+            Nb = nmask[b]
+            if (m == 0 and deg[b] <= da) != ((Nb & ~Na) == 0):
+                failed.setdefault(NESTING_IFF, f"pair {labels[a]} {labels[b]}")
+            if a < b:
+                equal = Na == Nb
+                if (m == 0 and da == deg[b]) != equal:
+                    failed.setdefault(EQUALITY_IFF, f"pair {labels[a]} {labels[b]}")
+                if equal:
+                    equal_pairs += 1
+                    if nbr[a] != nbr[b]:
+                        failed.setdefault(TWIN_ROWS, f"pair {labels[a]} {labels[b]}")
+                if m == 1 and not (
+                    da == deg[b]
+                    and (Na & ~Nb).bit_count() == 1
+                    and (Nb & ~Na).bit_count() == 1
+                ):
+                    failed.setdefault(SIMPLE_BALANCED, f"pair {labels[a]} {labels[b]}")
+    return equal_pairs
+
+
+def _check_oriented(ctx: _Context, seq: tuple[int, ...], d: list[int]) -> None:
+    """Item and divisibility laws for one orientation whose head degree is the path max."""
+    N = [ctx.nmask[v] for v in seq]
     n = len(seq)
-    where = f"path {ctx.word(seq)}"
-    res: dict[str, tuple[bool, str | None]] = {}
-
-    ok: bool = True
-    wit: str | None = None
     for i in range(n - 2):
-        for j in range(i + 2, n):
-            if d[i] < d[j] or (N[j] & ~N[i]):
-                ok, wit = False, f"{where}; positions {i + 1} vs {j + 1}"
-                break
-        if not ok:
+        bad = [j for j in range(i + 2, n) if d[i] < d[j] or (N[j] & ~N[i])]
+        if bad:
+            ctx.fail(PATH_INCLUSION, seq, f"positions {i + 1} vs {bad[0] + 1}")
             break
-    res[PATH_INCLUSION] = (ok, wit)
 
     suffix = [0] * (n + 2)
     for j in range(n - 1, -1, -1):
         suffix[j] = suffix[j + 1] | N[j]
-    ok, wit = True, None
     for i in range(n - 2):
         if suffix[i + 2] & ~N[i]:
-            ok, wit = False, f"{where}; position {i + 1} misses later neighbors"
+            ctx.fail(PATH_UNION, seq, f"position {i + 1} misses later neighbors")
             break
-    if ok and suffix[0] != (N[0] | N[1]):
-        ok, wit = False, f"{where}; union exceeds the first two neighborhoods"
-    res[PATH_UNION] = (ok, wit)
+    else:
+        if suffix[0] != (N[0] | N[1]):
+            ctx.fail(PATH_UNION, seq, "union exceeds the first two neighborhoods")
 
-    ok, wit = True, None
     for t in range(n - 2):
         if d[t] < d[t + 2]:
-            ok, wit = False, f"{where}; positions {t + 1} vs {t + 3}"
+            ctx.fail(PATH_PARITY, seq, f"positions {t + 1} vs {t + 3}")
             break
-    res[PATH_PARITY] = (ok, wit)
 
-    ok = min(d) == min(d[-2], d[-1])
-    res[PATH_MIN] = (ok, None if ok else f"{where}; minimum not within last two positions")
-    return res
+    if min(d) != min(d[-2], d[-1]):
+        ctx.fail(PATH_MIN, seq, "minimum not within last two positions")
 
-
-def _oriented_divisibility_results(
-    ctx: _Context, seq: tuple[int, ...]
-) -> dict[str, tuple[bool, str | None]]:
-    """Divisibility laws for one head-maximal orientation."""
-    where = f"path {ctx.word(seq)}"
-    union = 0
-    for v in seq:
-        union |= ctx.nmask[v]
-    d_head = ctx.deg[seq[0]]
-    excess = union.bit_count() - d_head
+    excess = suffix[0].bit_count() - d[0]
     first = ctx.mult(seq[0], seq[1])
-    res: dict[str, tuple[bool, str | None]] = {}
     if excess == 0:
         # impossible while first > 0; reaching this means the instance is inconsistent
-        bad = f"{where}; degenerate divisor (internal inconsistency)"
-        res[DIV_UNION] = (False, bad)
-        res[SQRT_BOUND] = (False, bad)
+        ctx.fail(DIV_UNION, seq, "degenerate divisor (internal inconsistency)")
+        ctx.fail(SQRT_BOUND, seq, "degenerate divisor (internal inconsistency)")
     else:
-        res[DIV_UNION] = (
-            first % excess == 0,
-            f"{where}; union excess {excess} does not divide first multiplicity {first}",
-        )
-        res[SQRT_BOUND] = (
-            excess * excess <= first,
-            f"{where}; union excess {excess} exceeds sqrt of first multiplicity {first}",
-        )
-    phi_is_path = (
-        len(seq) == len(ctx.labels)
-        and ctx.phi.simple_edge_count() == len(seq) - 1
-    )
-    if phi_is_path and ctx.k_is_union:
-        clique_excess = ctx.k_size - d_head
+        if first % excess:
+            ctx.fail(DIV_UNION, seq,
+                     f"union excess {excess} does not divide first multiplicity {first}")
+        if excess * excess > first:
+            ctx.fail(SQRT_BOUND, seq,
+                     f"union excess {excess} exceeds sqrt of first multiplicity {first}")
+    if ctx.clique_law and n == len(ctx.labels):
+        clique_excess = ctx.k_size - d[0]
         if clique_excess == 0:
-            res[DIV_CLIQUE] = (False, f"{where}; degenerate divisor (internal inconsistency)")
-        else:
-            res[DIV_CLIQUE] = (
-                first % clique_excess == 0,
-                f"{where}; clique excess {clique_excess} does not divide first multiplicity {first}",
-            )
-    return res
+            ctx.fail(DIV_CLIQUE, seq, "degenerate divisor (internal inconsistency)")
+        elif first % clique_excess:
+            ctx.fail(DIV_CLIQUE, seq,
+                     f"clique excess {clique_excess} does not divide first multiplicity {first}")
 
 
-def _simple_terminal_result(ctx: _Context, p: tuple[int, ...]) -> tuple[bool, str | None]:
-    n = len(p)
-    for t in range(n - 1):
-        if t != 0 and t != n - 2 and ctx.mult(p[t], p[t + 1]) == 1:
-            return False, f"path {ctx.word(p)}; interior edge {t + 1} has multiplicity 1"
-    return True, None
+def _check_path(ctx: _Context, p: tuple[int, ...]) -> None:
+    """Every per-path law on one induced path, first failures kept in ``ctx.failed``.
 
-
-def _p4_pattern_results(ctx: _Context, p: tuple[int, ...]) -> tuple[bool, str | None]:
-    if len(p) != 4:
-        return True, None
+    The max-position, P5 and simple-edge laws hold in either direction; the
+    item and divisibility laws are asserted for every orientation whose
+    head degree attains the path maximum (zero, one, or two of them).
+    """
     deg = ctx.deg
-    for seq in (p, p[::-1]):
-        if ctx.mult(seq[1], seq[2]) != 1:
-            continue
-        d1, d2, d4 = deg[seq[0]], deg[seq[1]], deg[seq[3]]
-        if d1 <= d2 >= d4:
-            return False, f"path {ctx.word(seq)}; simple middle edge, peak degrees"
-        if d1 >= d2 <= d4:
-            return False, f"path {ctx.word(seq)}; simple middle edge, valley degrees"
-        if d1 <= d2 <= d4:
-            return False, f"path {ctx.word(seq)}; simple middle edge, ascending degrees"
-    return True, None
+    d = [deg[v] for v in p]
+    n = len(p)
+    top = max(d)
+    if top not in (d[0], d[1], d[-2], d[-1]):
+        ctx.fail(PATH_MAX, p, f"max degree {top} only at interior positions")
+    if d[0] == top:
+        _check_oriented(ctx, p, d)
+    if d[-1] == top:
+        _check_oriented(ctx, p[::-1], d[::-1])
+    if n == 5 and d[2] == top:
+        ctx.fail(P5_MIDDLE, p, "middle degree equals the maximum")
+
+    for t in range(1, n - 2):
+        if ctx.mult(p[t], p[t + 1]) == 1:
+            ctx.fail(SIMPLE_TERMINAL, p, f"interior edge {t + 1} has multiplicity 1")
+            break
+
+    if n == 4 and ctx.mult(p[1], p[2]) == 1:
+        for seq in (p, p[::-1]):
+            d1, d2, d4 = deg[seq[0]], deg[seq[1]], deg[seq[3]]
+            if d1 <= d2 >= d4:
+                pattern = "peak"
+            elif d1 >= d2 <= d4:
+                pattern = "valley"
+            elif d1 <= d2 <= d4:
+                pattern = "ascending"
+            else:
+                continue
+            ctx.fail(P4_MIDDLE, seq, f"simple middle edge, {pattern} degrees")
+            break
+
+    if n == 3:
+        for seq in (p, p[::-1]):
+            a, b, c = seq
+            if deg[a] > deg[b] or ctx.mult(b, c) != 1:
+                continue
+            Na, Nb, Nc = ctx.nmask[a], ctx.nmask[b], ctx.nmask[c]
+            priv_a = Na & ~Nb
+            if not (priv_a.bit_count() == 1 and priv_a == Nc & ~Nb):
+                ctx.fail(P3_PENDANT, seq, "head/tail private neighbors differ")
+            union_ab = Na | Nb
+            decomposed = Nc == (priv_a | (Nb & Nc))
+            proper = (Nc & ~union_ab) == 0 and Nc != union_ab
+            if not (decomposed and proper):
+                ctx.fail(P3_DECOMP, seq, "tail neighborhood fails the pendant decomposition")
+            if ctx.mult(a, b) != deg[b] - deg[a] + 1:
+                ctx.fail(P3_MULT, seq, "first multiplicity differs from degree gap plus one")
 
 
-def _p3_results(ctx: _Context, p: tuple[int, ...]) -> dict[str, tuple[bool, str | None]]:
-    res: dict[str, tuple[bool, str | None]] = {}
-    if len(p) != 3:
-        return res
-    deg, nmask = ctx.deg, ctx.nmask
-    for seq in (p, p[::-1]):
-        a, b, c = seq
-        if deg[a] > deg[b] or ctx.mult(b, c) != 1:
-            continue
-        where = f"path {ctx.word(seq)}"
-        Na, Nb, Nc = nmask[a], nmask[b], nmask[c]
-        priv_a = Na & ~Nb
-        priv_c = Nc & ~Nb
-        ok = priv_a.bit_count() == 1 and priv_a == priv_c
-        _accumulate(res, P3_PENDANT, ok, f"{where}; head/tail private neighbors differ")
-        union_ab = Na | Nb
-        decomposed = Nc == (priv_a | (Nb & Nc))
-        proper = (Nc & ~union_ab) == 0 and Nc != union_ab
-        _accumulate(res, P3_DECOMP, decomposed and proper,
-                    f"{where}; tail neighborhood fails the pendant decomposition")
-        _accumulate(res, P3_MULT, ctx.mult(a, b) == deg[b] - deg[a] + 1,
-                    f"{where}; first multiplicity differs from degree gap plus one")
-    return res
-
-
-def _accumulate(
-    res: dict[str, tuple[bool, str | None]], name: str, ok: bool, witness: str
-) -> None:
-    prev = res.get(name)
-    if prev is not None and not prev[0]:
-        return
-    res[name] = (ok, None if ok else witness)
+def _check_paths(
+    S: SplitGraph,
+    phi: FactorGraph | None,
+    paths: Iterable[Sequence[str] | InducedPath] | None,
+    max_len: int | None = None,
+) -> _Context:
+    """Per-path laws over the caller's paths, each validated as induced, or
+    over every induced path of phi on at most ``max_len`` vertices."""
+    phi = build_by_formula(S) if phi is None else phi
+    ctx = _Context(S, phi)
+    if paths is None:
+        seqs = _induced_path_indices(ctx.nbr, _path_cap(len(ctx.labels), max_len))
+    else:
+        seqs = []
+        for path in paths:
+            vertices = path.vertices if isinstance(path, InducedPath) else tuple(path)
+            if not is_induced_path(phi, vertices):
+                raise GraphError(f"not an induced path: {' '.join(vertices)}")
+            seqs.append(tuple(phi.index_of(v) for v in vertices))
+    for p in seqs:
+        _check_path(ctx, p)
+    return ctx
 
 
 # -- public checks -------------------------------------------------------------------
-
-
-def _result_map_to_list(
-    names: Sequence[str], collected: dict[str, tuple[bool, str | None]]
-) -> list[CheckResult]:
-    out = []
-    for name in names:
-        ok, wit = collected.get(name, (True, None))
-        out.append(CheckResult(name, ok, wit))
-    return out
 
 
 def check_path_structure(
@@ -481,32 +471,14 @@ def check_path_structure(
     asserted for every orientation whose head degree attains the path
     maximum (there may be zero, one, or two such orientations).
     """
-    phi = build_by_formula(S) if phi is None else phi
-    ctx = _Context(S, phi)
-    p = _as_index_path(ctx, path)
-    collected: dict[str, tuple[bool, str | None]] = {}
-    ok, wit = _eq_max_result(ctx, p)
-    collected[PATH_MAX] = (ok, wit)
-    for seq in _head_max_orientations(ctx, p):
-        for name, pair in _oriented_item_results(ctx, seq).items():
-            _accumulate(collected, name, pair[0], pair[1] or "")
-    return _result_map_to_list(
-        (PATH_MAX, PATH_INCLUSION, PATH_UNION, PATH_PARITY, PATH_MIN), collected
-    )
+    return _check_paths(S, phi, [path]).results(_STRUCTURE_LAWS)
 
 
 def check_divisibility(
     S: SplitGraph, path: Sequence[str] | InducedPath, phi: FactorGraph | None = None
 ) -> list[CheckResult]:
     """Divisibility laws for one induced path, on head-maximal orientations."""
-    phi = build_by_formula(S) if phi is None else phi
-    ctx = _Context(S, phi)
-    p = _as_index_path(ctx, path)
-    collected: dict[str, tuple[bool, str | None]] = {}
-    for seq in _head_max_orientations(ctx, p):
-        for name, pair in _oriented_divisibility_results(ctx, seq).items():
-            _accumulate(collected, name, pair[0], pair[1] or "")
-    return _result_map_to_list((DIV_UNION, DIV_CLIQUE, SQRT_BOUND), collected)
+    return _check_paths(S, phi, [path]).results(_DIVISIBILITY_LAWS)
 
 
 def check_p5_forbidden(
@@ -515,20 +487,7 @@ def check_p5_forbidden(
     paths: Sequence[InducedPath] | None = None,
 ) -> CheckResult:
     """No induced 5-vertex path carries its degree maximum at the middle."""
-    phi = build_by_formula(S) if phi is None else phi
-    ctx = _Context(S, phi)
-    if paths is None:
-        paths = enumerate_induced_paths(phi, max_len=min(5, max(2, len(phi.vertices))))
-    for path in paths:
-        if len(path.vertices) != 5:
-            continue
-        p = tuple(phi.index_of(v) for v in path.vertices)
-        d = [ctx.deg[v] for v in p]
-        if d[2] == max(d):
-            return CheckResult(
-                P5_MIDDLE, False, f"path {ctx.word(p)}; middle degree equals the maximum"
-            )
-    return CheckResult(P5_MIDDLE, True)
+    return _check_paths(S, phi, paths, max_len=5).results((P5_MIDDLE,))[0]
 
 
 def check_cycle_bound(phi: FactorGraph) -> CheckResult:
@@ -547,22 +506,7 @@ def check_simple_edge_positions(
 ) -> list[CheckResult]:
     """Multiplicity-1 edges are terminal on every induced path, with the
     supporting 4-path degree patterns and 3-path pendant laws."""
-    phi = build_by_formula(S) if phi is None else phi
-    ctx = _Context(S, phi)
-    if paths is None:
-        paths = enumerate_induced_paths(phi)
-    collected: dict[str, tuple[bool, str | None]] = {}
-    for path in paths:
-        p = tuple(phi.index_of(v) for v in path.vertices)
-        ok, wit = _simple_terminal_result(ctx, p)
-        _accumulate(collected, SIMPLE_TERMINAL, ok, wit or "")
-        ok, wit = _p4_pattern_results(ctx, p)
-        _accumulate(collected, P4_MIDDLE, ok, wit or "")
-        for name, pair in _p3_results(ctx, p).items():
-            _accumulate(collected, name, pair[0], pair[1] or "")
-    return _result_map_to_list(
-        (SIMPLE_TERMINAL, P4_MIDDLE, P3_PENDANT, P3_DECOMP, P3_MULT), collected
-    )
+    return _check_paths(S, phi, paths).results(_SIMPLE_EDGE_LAWS)
 
 
 def check_diameter_bound(S: SplitGraph, phi: FactorGraph | None = None) -> CheckResult:
@@ -581,47 +525,6 @@ def check_diameter_bound(S: SplitGraph, phi: FactorGraph | None = None) -> Check
     )
 
 
-def _pair_results(ctx: _Context) -> list[CheckResult]:
-    labels, deg, nmask, nbr = ctx.labels, ctx.deg, ctx.nmask, ctx.nbr
-    n = len(labels)
-    collected: dict[str, tuple[bool, str | None]] = {}
-    equal_pairs = 0
-    for a in range(n):
-        da, Na = deg[a], nmask[a]
-        for b in range(n):
-            if a == b:
-                continue
-            m = ctx.mult(a, b)
-            wit = f"pair {labels[a]} {labels[b]}"
-            nested = (nmask[b] & ~Na) == 0
-            _accumulate(
-                collected, NESTING_IFF, (m == 0 and deg[b] <= da) == nested, wit
-            )
-            if a < b:
-                equal = Na == nmask[b]
-                if equal:
-                    equal_pairs += 1
-                _accumulate(
-                    collected, EQUALITY_IFF, (m == 0 and da == deg[b]) == equal, wit
-                )
-                if equal:
-                    _accumulate(collected, TWIN_ROWS, nbr[a] == nbr[b], wit)
-                if m == 1:
-                    balanced = (
-                        da == deg[b]
-                        and (Na & ~nmask[b]).bit_count() == 1
-                        and (nmask[b] & ~Na).bit_count() == 1
-                    )
-                    _accumulate(collected, SIMPLE_BALANCED, balanced, wit)
-    out = _result_map_to_list((NESTING_IFF, EQUALITY_IFF, TWIN_ROWS, SIMPLE_BALANCED), collected)
-    if equal_pairs:
-        head = out[0]
-        out[0] = CheckResult(
-            head.name, head.passed, head.witness, note=f"neighborhood-equal-pairs={equal_pairs}"
-        )
-    return out
-
-
 def verify_all(
     S: SplitGraph, instance: str | None = None, max_len: int | None = None
 ) -> VerificationReport:
@@ -635,60 +538,22 @@ def verify_all(
     if instance is None:
         instance = f"splitgraph-k{S.k_size}-i{len(S.independent)}-e{S.edge_count()}"
     phi = build_by_formula(S)
+    # one count per enumerated move, so its size is the 2-switch degree
     phi_enum = build_by_enumeration(S)
-    checks: list[CheckResult] = [
-        CheckResult(
-            BUILDERS_AGREE,
-            phi == phi_enum,
-            None if phi == phi_enum else "formula and enumeration builders disagree",
-        ),
-        CheckResult(
-            SIZE_DEGREE,
-            phi.size() == two_switch_degree(S),
-            None if phi.size() == two_switch_degree(S) else
-            f"size {phi.size()} != switch degree {two_switch_degree(S)}",
-        ),
-    ]
-    ctx = _Context(S, phi)
-    checks.extend(_pair_results(ctx))
+    ctx = _check_paths(S, phi, None, max_len)
+    if phi != phi_enum:
+        ctx.failed[BUILDERS_AGREE] = "formula and enumeration builders disagree"
+    if phi.size() != phi_enum.size():
+        ctx.failed[SIZE_DEGREE] = f"size {phi.size()} != switch degree {phi_enum.size()}"
+    equal_pairs = _check_pairs(ctx)
 
-    paths = enumerate_induced_paths(phi, max_len)
-    collected: dict[str, tuple[bool, str | None]] = {}
-    p5_failure: tuple[bool, str | None] = (True, None)
-    for path in paths:
-        p = tuple(phi.index_of(v) for v in path.vertices)
-        ok, wit = _eq_max_result(ctx, p)
-        _accumulate(collected, PATH_MAX, ok, wit or "")
-        for seq in _head_max_orientations(ctx, p):
-            for name, pair in _oriented_item_results(ctx, seq).items():
-                _accumulate(collected, name, pair[0], pair[1] or "")
-            for name, pair in _oriented_divisibility_results(ctx, seq).items():
-                _accumulate(collected, name, pair[0], pair[1] or "")
-        if len(p) == 5 and p5_failure[0]:
-            d = [ctx.deg[v] for v in p]
-            if d[2] == max(d):
-                p5_failure = (False, f"path {ctx.word(p)}; middle degree equals the maximum")
-        ok, wit = _simple_terminal_result(ctx, p)
-        _accumulate(collected, SIMPLE_TERMINAL, ok, wit or "")
-        ok, wit = _p4_pattern_results(ctx, p)
-        _accumulate(collected, P4_MIDDLE, ok, wit or "")
-        for name, pair in _p3_results(ctx, p).items():
-            _accumulate(collected, name, pair[0], pair[1] or "")
-
-    checks.extend(
-        _result_map_to_list(
-            (PATH_MAX, PATH_INCLUSION, PATH_UNION, PATH_PARITY, PATH_MIN), collected
-        )
-    )
-    checks.append(CheckResult(P5_MIDDLE, p5_failure[0], p5_failure[1]))
-    checks.extend(_result_map_to_list((DIV_UNION, DIV_CLIQUE, SQRT_BOUND), collected))
+    checks = ctx.results(CHECK_NAMES[: CHECK_NAMES.index(CYCLE_BOUND)])
     checks.append(check_cycle_bound(phi))
-    checks.extend(
-        _result_map_to_list(
-            (SIMPLE_TERMINAL, P4_MIDDLE, P3_PENDANT, P3_DECOMP, P3_MULT), collected
-        )
-    )
+    checks.extend(ctx.results(_SIMPLE_EDGE_LAWS))
     checks.append(check_diameter_bound(S, phi))
+    if equal_pairs:
+        nesting = CHECK_NAMES.index(NESTING_IFF)
+        checks[nesting] = replace(checks[nesting], note=f"neighborhood-equal-pairs={equal_pairs}")
     return VerificationReport(instance, checks)
 
 
@@ -722,10 +587,6 @@ def _sweep_range(
     return count, failed
 
 
-def _sweep_worker(args: tuple[CorpusSpec, int, int, int | None]):
-    return _sweep_range(*args)
-
-
 def sweep(spec: CorpusSpec, workers: int = 1, max_len: int | None = None) -> SweepSummary:
     """Verify every instance of a corpus; reports merge in index order."""
     total = corpus_size(spec)
@@ -741,7 +602,7 @@ def sweep(spec: CorpusSpec, workers: int = 1, max_len: int | None = None) -> Swe
     instances = 0
     failed_all: list[tuple[str, tuple[CheckResult, ...]]] = []
     with multiprocessing.Pool(workers) as pool:
-        for count, failed in pool.map(_sweep_worker, ranges):
+        for count, failed in pool.starmap(_sweep_range, ranges):
             instances += count
             failed_all.extend(failed)
     return SweepSummary(instances, tuple(failed_all))

@@ -19,10 +19,10 @@ from splitfactor import (
     build_extremal,
     enumerate_induced_cycles,
     enumerate_induced_paths,
+    enumerate_two_switches,
     generate,
     is_induced_path,
     sweep,
-    two_switch_degree,
     verify_extremal,
 )
 
@@ -93,7 +93,7 @@ def test_criterion_1_worked_example(capsys):
     exact = (
         phi.edges() == [("1", "2", 1), ("2", "3", 2), ("3", "4", 2)]
         and phi.size() == 5
-        and two_switch_degree(S) == 5
+        and len(enumerate_two_switches(S)) == 5
         and is_induced_path(phi, ("1", "2", "3", "4"))
     )
     ok = exact and elapsed < 1e-3

@@ -7,11 +7,9 @@ from splitfactor import (
     GraphError,
     SplitGraph,
     corpus_size,
-    exhaustive_corpus,
     generate,
     instance,
     instance_id,
-    random_corpus,
     splitmix64,
 )
 from splitfactor.corpus import corpus_labels
@@ -73,7 +71,7 @@ class TestExhaustive:
 
     def test_2x2_hits_every_neighborhood_code(self):
         seen = set()
-        for S in exhaustive_corpus(2, 2):
+        for _, S in generate(CorpusSpec("exhaustive", 2, 2)):
             assert S.clique == ("x1", "x2") and S.independent == ("y1", "y2")
             code = tuple(
                 frozenset(S.neighborhood(v).members) for v in S.independent
@@ -108,8 +106,8 @@ class TestRandom:
         assert first == second
 
     def test_different_seeds_differ(self):
-        a = next(random_corpus(CorpusSpec("random", 8, 8, count=1, seed=1)))
-        b = next(random_corpus(CorpusSpec("random", 8, 8, count=1, seed=2)))
+        _, a = next(generate(CorpusSpec("random", 8, 8, count=1, seed=1)))
+        _, b = next(generate(CorpusSpec("random", 8, 8, count=1, seed=2)))
         assert a != b
 
     def test_instance_id_carries_seed(self):
@@ -120,16 +118,12 @@ class TestRandom:
         # 8000 Bernoulli(1/2) draws of 8 bits each; 3 standard errors
         spec = CorpusSpec("random", 8, 8, count=1000, seed=4242)
         total = draws = 0
-        for S in random_corpus(spec):
+        for _, S in generate(spec):
             for v in S.independent:
                 total += S.degree(v)
                 draws += 1
         assert draws == 8000
         assert abs(total / draws - 4.0) < 0.048
-
-    def test_random_corpus_wants_random_mode(self):
-        with pytest.raises(GraphError, match="random"):
-            next(random_corpus(CorpusSpec("exhaustive", 2, 2)))
 
     def test_generate_range_checked(self):
         spec = CorpusSpec("random", 4, 4, count=10)

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 
 from splitfactor import (
+    CorpusSpec,
     FactorGraph,
     GraphError,
     build_by_enumeration,
     build_by_formula,
-    exhaustive_corpus,
     format_multiplicity_listing,
+    generate,
     to_dot,
 )
 
@@ -50,7 +51,7 @@ def test_builders_agree_demo(demo_graph):
 
 def test_builders_agree_exhaustive_small():
     for k, i in ((3, 3), (2, 4), (4, 2)):
-        for S in exhaustive_corpus(k, i):
+        for _, S in generate(CorpusSpec("exhaustive", k, i)):
             assert build_by_formula(S) == build_by_enumeration(S)
 
 

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitfactor import (
+    CorpusSpec,
     GraphError,
     ParseError,
     SplitGraph,
-    exhaustive_corpus,
     format_split_text,
+    generate,
     parse_split_text,
     recognize_split,
 )
@@ -147,7 +148,7 @@ class TestTextFormat:
         assert parse_split_text(format_split_text(demo_graph)) == demo_graph
 
     def test_round_trip_exhaustive_2x2(self):
-        for S in exhaustive_corpus(2, 2):
+        for _, S in generate(CorpusSpec("exhaustive", 2, 2)):
             assert parse_split_text(format_split_text(S)) == S
 
     def test_comments_and_blanks_ignored(self):

@@ -11,6 +11,7 @@ from splitfactor import (
     CorpusSpec,
     FactorGraph,
     GraphError,
+    InducedPath,
     SplitGraph,
     build_by_formula,
     check_cycle_bound,
@@ -144,9 +145,16 @@ class TestPerPathChecks:
         ]
         assert all(r.passed for r in results)
 
-    def test_non_induced_sequence_rejected(self, demo_graph):
-        with pytest.raises(GraphError, match="not an induced path"):
-            check_path_structure(demo_graph, ("1", "3"))
+    @pytest.mark.parametrize("check, path", [
+        (lambda S, path: check_path_structure(S, path), ("1", "3")),
+        (lambda S, path: check_simple_edge_positions(S, paths=[InducedPath(path)]),
+         ("2", "1", "4", "3")),
+        (lambda S, path: check_p5_forbidden(S, paths=[InducedPath(path)]),
+         ("2", "1", "4", "3", "2")),
+    ], ids=["check_path_structure", "check_simple_edge_positions", "check_p5_forbidden"])
+    def test_non_induced_sequence_rejected(self, demo_graph, check, path):
+        with pytest.raises(GraphError, match=f"not an induced path: {' '.join(path)}"):
+            check(demo_graph, path)
 
     def test_mismatched_factor_graph_rejected(self, demo_graph):
         wrong = FactorGraph(("1", "2"), {("1", "2"): 1})
@@ -289,6 +297,22 @@ class TestVerifyAll:
         assert report.ok
         diameter = report.checks[-1]
         assert diameter.note == "not applicable: disconnected"
+
+    def test_moves_enumerated_once(self, demo_graph, monkeypatch):
+        import splitfactor.factor
+        import splitfactor.switches
+
+        calls = []
+        real = splitfactor.switches.enumerate_two_switches
+
+        def counted(S):
+            calls.append(S)
+            return real(S)
+
+        for module in (splitfactor.factor, splitfactor.switches):
+            monkeypatch.setattr(module, "enumerate_two_switches", counted)
+        assert verify_all(demo_graph).ok
+        assert len(calls) == 1
 
     def test_max_len_cap_still_passes(self, demo_graph):
         report = verify_all(demo_graph, max_len=3)
