@@ -32,7 +32,6 @@ from .factor import (
 )
 from .graph import (
     GraphError,
-    Neighborhood,
     ParseError,
     SplitGraph,
     format_split_text,
@@ -44,16 +43,11 @@ from .switches import TwoSwitch, apply_two_switch, enumerate_two_switches
 from .verify import (
     CHECK_NAMES,
     CheckResult,
-    InducedCycle,
-    InducedPath,
     SweepSummary,
     VerificationReport,
     check_cycle_bound,
     check_diameter_bound,
-    check_divisibility,
-    check_p5_forbidden,
-    check_path_structure,
-    check_simple_edge_positions,
+    check_paths,
     enumerate_induced_cycles,
     enumerate_induced_paths,
     is_induced_cycle,
@@ -73,9 +67,6 @@ __all__ = [
     "ExtremalInstance",
     "FactorGraph",
     "GraphError",
-    "InducedCycle",
-    "InducedPath",
-    "Neighborhood",
     "ParseError",
     "SplitGraph",
     "SweepSummary",
@@ -87,10 +78,7 @@ __all__ = [
     "build_extremal",
     "check_cycle_bound",
     "check_diameter_bound",
-    "check_divisibility",
-    "check_p5_forbidden",
-    "check_path_structure",
-    "check_simple_edge_positions",
+    "check_paths",
     "corpus_size",
     "enumerate_induced_cycles",
     "enumerate_induced_paths",

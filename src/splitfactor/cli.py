@@ -65,7 +65,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-len", type=int, default=None, metavar="N")
     p.add_argument("--workers", type=int, default=None,
-                   help=f"worker processes; capped by ${THREADS_ENV}")
+                   help=f"worker processes (default: usable cores); capped by ${THREADS_ENV}")
     return parser
 
 
@@ -77,7 +77,13 @@ def _load(path: str) -> SplitGraph:
 
 
 def _resolve_workers(requested: int | None) -> int:
-    workers = requested if requested is not None else (os.cpu_count() or 1)
+    if requested is not None:
+        workers = requested
+    elif hasattr(os, "sched_getaffinity"):
+        # the cores this process may run on; taskset or a cpuset can narrow them
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
     cap_text = os.environ.get(THREADS_ENV)
     if cap_text is not None:
         try:

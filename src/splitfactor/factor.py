@@ -143,24 +143,7 @@ class FactorGraph:
         if n == 0:
             return DiameterSummary(connected=True, value=0, component_diameters=(), empty=True)
         nbr = self._nbr_masks
-        ecc = [0] * n
-        comp_of = [-1] * n
-        comps: list[int] = []  # component masks, discovery order
-        for start in range(n):
-            if comp_of[start] >= 0:
-                continue
-            seen = 1 << start
-            frontier = seen
-            while frontier:
-                nxt = 0
-                for v in bits(frontier):
-                    nxt |= nbr[v]
-                frontier = nxt & ~seen
-                seen |= frontier
-            cid = len(comps)
-            comps.append(seen)
-            for v in bits(seen):
-                comp_of[v] = cid
+        comps: dict[int, int] = {}  # a BFS's reach is its component; discovery order
         for v in range(n):
             seen = 1 << v
             frontier = seen
@@ -174,11 +157,9 @@ class FactorGraph:
                     break
                 seen |= frontier
                 dist += 1
-            ecc[v] = dist
-        per_comp = tuple(
-            max(ecc[v] for v in bits(mask)) for mask in comps
-        )
-        if len(comps) == 1:
+            comps[seen] = max(comps.get(seen, 0), dist)
+        per_comp = tuple(comps.values())
+        if len(per_comp) == 1:
             return DiameterSummary(connected=True, value=per_comp[0], component_diameters=per_comp)
         return DiameterSummary(connected=False, value=None, component_diameters=per_comp)
 

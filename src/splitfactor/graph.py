@@ -26,7 +26,6 @@ reconstructed); an explicit edge inside I is a hard error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 
@@ -58,22 +57,6 @@ def _check_label(label: object) -> str:
     if label.startswith("#"):
         raise GraphError(f"vertex label may not start with '#': {label!r}")
     return label
-
-
-@dataclass(frozen=True)
-class Neighborhood:
-    """Open neighborhood of one vertex.
-
-    For an independent-set vertex the members always lie inside the
-    clique, so ``degree`` is also the number of clique neighbors.
-    """
-
-    vertex: str
-    members: frozenset[str]
-
-    @property
-    def degree(self) -> int:
-        return len(self.members)
 
 
 class SplitGraph:
@@ -169,24 +152,9 @@ class SplitGraph:
     def degree(self, v: str) -> int:
         return self.adj_masks[self.index_of(v)].bit_count()
 
-    def neighborhood(self, v: str) -> Neighborhood:
-        mask = self.adj_masks[self.index_of(v)]
-        return Neighborhood(v, frozenset(self.labels[b] for b in bits(mask)))
-
-    def common_neighbor_count(self, u: str, v: str) -> int:
-        """Number of shared neighbors of two independent-set vertices.
-
-        Both arguments must be distinct members of I; their neighborhoods
-        lie inside K, so this is the size of the K-overlap.
-        """
-        iu, iv = self.index_of(u), self.index_of(v)
-        if u == v:
-            raise GraphError(f"common_neighbor_count needs two distinct vertices, got {u!r} twice")
-        k = self.k_size
-        if iu < k or iv < k:
-            bad = u if iu < k else v
-            raise GraphError(f"vertex {bad!r} is not in the independent set")
-        return (self.adj_masks[iu] & self.adj_masks[iv]).bit_count()
+    def neighborhood(self, v: str) -> frozenset[str]:
+        """Open neighborhood; for an independent-set vertex it lies inside K."""
+        return frozenset(self.labels[b] for b in bits(self.adj_masks[self.index_of(v)]))
 
     def independent_edges(self) -> list[tuple[str, str]]:
         """All I-K edges as (independent label, clique label), in index order."""

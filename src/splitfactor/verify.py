@@ -85,10 +85,6 @@ P3_DECOMP = "p3-tail-decomposition"
 P3_MULT = "p3-first-multiplicity"
 DIAMETER_BOUND = "diameter-bound"
 
-_STRUCTURE_LAWS = (PATH_MAX, PATH_INCLUSION, PATH_UNION, PATH_PARITY, PATH_MIN)
-_DIVISIBILITY_LAWS = (DIV_UNION, DIV_CLIQUE, SQRT_BOUND)
-_SIMPLE_EDGE_LAWS = (SIMPLE_TERMINAL, P4_MIDDLE, P3_PENDANT, P3_DECOMP, P3_MULT)
-
 CHECK_NAMES: tuple[str, ...] = (
     BUILDERS_AGREE,
     SIZE_DEGREE,
@@ -96,39 +92,28 @@ CHECK_NAMES: tuple[str, ...] = (
     EQUALITY_IFF,
     TWIN_ROWS,
     SIMPLE_BALANCED,
-    *_STRUCTURE_LAWS,
+    PATH_MAX,
+    PATH_INCLUSION,
+    PATH_UNION,
+    PATH_PARITY,
+    PATH_MIN,
     P5_MIDDLE,
-    *_DIVISIBILITY_LAWS,
+    DIV_UNION,
+    DIV_CLIQUE,
+    SQRT_BOUND,
     CYCLE_BOUND,
-    *_SIMPLE_EDGE_LAWS,
+    SIMPLE_TERMINAL,
+    P4_MIDDLE,
+    P3_PENDANT,
+    P3_DECOMP,
+    P3_MULT,
     DIAMETER_BOUND,
 )
 
-
-@dataclass(frozen=True)
-class InducedPath:
-    """Vertex sequence of an induced path in the factor graph's simple view.
-
-    Consecutive multiplicities are positive, all other pairs zero.  The
-    canonical orientation puts the endpoint with the smaller internal
-    index first.
-    """
-
-    vertices: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-
-@dataclass(frozen=True)
-class InducedCycle:
-    """Canonical rotation: starts at the minimum-index vertex, second
-    vertex smaller than the last."""
-
-    vertices: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
+# the laws checked on each induced path, in CHECK_NAMES order
+_PATH_LAWS = tuple(
+    name for name in CHECK_NAMES[CHECK_NAMES.index(PATH_MAX):-1] if name != CYCLE_BOUND
+)
 
 
 @dataclass(frozen=True)
@@ -235,22 +220,30 @@ def _path_cap(n: int, max_len: int | None) -> int:
     return min(max_len, n)
 
 
-def enumerate_induced_paths(phi: FactorGraph, max_len: int | None = None) -> list[InducedPath]:
-    """All induced paths on 2..max_len vertices, one canonical orientation each."""
+def enumerate_induced_paths(
+    phi: FactorGraph, max_len: int | None = None
+) -> list[tuple[str, ...]]:
+    """All induced paths on 2..max_len vertices of phi's simple view.
+
+    Consecutive multiplicities are positive, all other pairs zero.  Each
+    path appears once, oriented so that the endpoint with the smaller
+    vertex index comes first.
+    """
     verts = phi.vertices
     return [
-        InducedPath(tuple(verts[i] for i in seq))
+        tuple(verts[i] for i in seq)
         for seq in _induced_path_indices(phi.neighbor_masks(), _path_cap(len(verts), max_len))
     ]
 
 
-def enumerate_induced_cycles(phi: FactorGraph) -> list[InducedCycle]:
-    """All induced cycles, one canonical rotation/direction each."""
+def enumerate_induced_cycles(phi: FactorGraph) -> list[tuple[str, ...]]:
+    """All induced cycles of phi's simple view, one rotation and direction each.
+
+    Each cycle starts at its minimum-index vertex, and its second vertex
+    has a smaller index than its last.
+    """
     verts = phi.vertices
-    return [
-        InducedCycle(tuple(verts[i] for i in seq))
-        for seq in _induced_cycle_indices(phi.neighbor_masks())
-    ]
+    return [tuple(verts[i] for i in seq) for seq in _induced_cycle_indices(phi.neighbor_masks())]
 
 
 # -- check context ------------------------------------------------------------------
@@ -340,13 +333,11 @@ def _check_oriented(ctx: _Context, seq: tuple[int, ...], d: list[int]) -> None:
     suffix = [0] * (n + 2)
     for j in range(n - 1, -1, -1):
         suffix[j] = suffix[j + 1] | N[j]
+    # the union clause needs no test: suffix[2] inside N[0] gives suffix[0] == N[0] | N[1]
     for i in range(n - 2):
         if suffix[i + 2] & ~N[i]:
             ctx.fail(PATH_UNION, seq, f"position {i + 1} misses later neighbors")
             break
-    else:
-        if suffix[0] != (N[0] | N[1]):
-            ctx.fail(PATH_UNION, seq, "union exceeds the first two neighborhoods")
 
     for t in range(n - 2):
         if d[t] < d[t + 2]:
@@ -438,7 +429,7 @@ def _check_path(ctx: _Context, p: tuple[int, ...]) -> None:
 def _check_paths(
     S: SplitGraph,
     phi: FactorGraph | None,
-    paths: Iterable[Sequence[str] | InducedPath] | None,
+    paths: Iterable[Sequence[str]] | None,
     max_len: int | None = None,
 ) -> _Context:
     """Per-path laws over the caller's paths, each validated as induced, or
@@ -450,10 +441,9 @@ def _check_paths(
     else:
         seqs = []
         for path in paths:
-            vertices = path.vertices if isinstance(path, InducedPath) else tuple(path)
-            if not is_induced_path(phi, vertices):
-                raise GraphError(f"not an induced path: {' '.join(vertices)}")
-            seqs.append(tuple(phi.index_of(v) for v in vertices))
+            if not is_induced_path(phi, path):
+                raise GraphError(f"not an induced path: {' '.join(path)}")
+            seqs.append(tuple(phi.index_of(v) for v in path))
     for p in seqs:
         _check_path(ctx, p)
     return ctx
@@ -462,32 +452,18 @@ def _check_paths(
 # -- public checks -------------------------------------------------------------------
 
 
-def check_path_structure(
-    S: SplitGraph, path: Sequence[str] | InducedPath, phi: FactorGraph | None = None
-) -> list[CheckResult]:
-    """Degree/neighborhood laws along one induced path.
-
-    The max-position law is orientation-free; the four item laws are
-    asserted for every orientation whose head degree attains the path
-    maximum (there may be zero, one, or two such orientations).
-    """
-    return _check_paths(S, phi, [path]).results(_STRUCTURE_LAWS)
-
-
-def check_divisibility(
-    S: SplitGraph, path: Sequence[str] | InducedPath, phi: FactorGraph | None = None
-) -> list[CheckResult]:
-    """Divisibility laws for one induced path, on head-maximal orientations."""
-    return _check_paths(S, phi, [path]).results(_DIVISIBILITY_LAWS)
-
-
-def check_p5_forbidden(
+def check_paths(
     S: SplitGraph,
     phi: FactorGraph | None = None,
-    paths: Sequence[InducedPath] | None = None,
-) -> CheckResult:
-    """No induced 5-vertex path carries its degree maximum at the middle."""
-    return _check_paths(S, phi, paths, max_len=5).results((P5_MIDDLE,))[0]
+    paths: Iterable[Sequence[str]] | None = None,
+) -> list[CheckResult]:
+    """Every per-path law over the given induced paths of phi, or over all of them.
+
+    ``phi`` defaults to the formula factor graph of S.  Results come in
+    ``CHECK_NAMES`` order; a caller path that is not induced in phi raises
+    :class:`GraphError`.
+    """
+    return _check_paths(S, phi, paths).results(_PATH_LAWS)
 
 
 def check_cycle_bound(phi: FactorGraph) -> CheckResult:
@@ -497,16 +473,6 @@ def check_cycle_bound(phi: FactorGraph) -> CheckResult:
             labels = " ".join(phi.vertices[i] for i in seq)
             return CheckResult(CYCLE_BOUND, False, f"cycle {labels}; length {len(seq)}")
     return CheckResult(CYCLE_BOUND, True)
-
-
-def check_simple_edge_positions(
-    S: SplitGraph,
-    phi: FactorGraph | None = None,
-    paths: Sequence[InducedPath] | None = None,
-) -> list[CheckResult]:
-    """Multiplicity-1 edges are terminal on every induced path, with the
-    supporting 4-path degree patterns and 3-path pendant laws."""
-    return _check_paths(S, phi, paths).results(_SIMPLE_EDGE_LAWS)
 
 
 def check_diameter_bound(S: SplitGraph, phi: FactorGraph | None = None) -> CheckResult:
@@ -547,9 +513,8 @@ def verify_all(
         ctx.failed[SIZE_DEGREE] = f"size {phi.size()} != switch degree {phi_enum.size()}"
     equal_pairs = _check_pairs(ctx)
 
-    checks = ctx.results(CHECK_NAMES[: CHECK_NAMES.index(CYCLE_BOUND)])
-    checks.append(check_cycle_bound(phi))
-    checks.extend(ctx.results(_SIMPLE_EDGE_LAWS))
+    checks = ctx.results(CHECK_NAMES[:-1])
+    checks[CHECK_NAMES.index(CYCLE_BOUND)] = check_cycle_bound(phi)
     checks.append(check_diameter_bound(S, phi))
     if equal_pairs:
         nesting = CHECK_NAMES.index(NESTING_IFF)

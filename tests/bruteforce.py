@@ -17,10 +17,6 @@ def brute_neighborhood(S: SplitGraph, v: str) -> set[str]:
     return {w for w in S.labels if w != v and S.has_edge(v, w)}
 
 
-def brute_common_count(S: SplitGraph, u: str, v: str) -> int:
-    return len(brute_neighborhood(S, u) & brute_neighborhood(S, v))
-
-
 def two_switch_key(a: str, b: str, c: str, d: str) -> tuple:
     """Canonical identity of the move deleting ab, cd and inserting ac, bd."""
     deleted = frozenset({frozenset({a, b}), frozenset({c, d})})

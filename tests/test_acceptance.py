@@ -197,8 +197,8 @@ def test_criterion_8_enumerator_equivalence(capsys):
     for _, S in generate(spec):
         instances += 1
         phi = build_by_formula(S)
-        paths = {p.vertices for p in enumerate_induced_paths(phi)}
-        cycles = {c.vertices for c in enumerate_induced_cycles(phi)}
+        paths = set(enumerate_induced_paths(phi))
+        cycles = set(enumerate_induced_cycles(phi))
         if paths != brute_induced_paths(phi, len(phi.vertices)):
             mismatches += 1
         elif cycles != brute_induced_cycles(phi):

@@ -157,6 +157,23 @@ class TestSweep:
         assert main(["sweep", "--kmax", "2", "--imax", "2", "--workers", "2"]) == 1
         assert "must be an integer" in capsys.readouterr().err
 
+    def test_default_workers_are_usable_cores(self, monkeypatch):
+        import splitfactor.cli
+        from splitfactor import SweepSummary
+
+        requested = []
+
+        def fake_sweep(spec, workers=1, max_len=None):
+            requested.append(workers)
+            return SweepSummary(0, ())
+
+        monkeypatch.delenv("SPLITFACTOR_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(splitfactor.cli, "sweep", fake_sweep)
+        assert main(["sweep", "--kmax", "2", "--imax", "2"]) == 0
+        assert requested == [1]
+
     def test_budget_error_exit_1(self, capsys):
         assert main(["sweep", "--kmax", "5", "--imax", "5"]) == 1
         assert "budget" in capsys.readouterr().err
@@ -180,10 +197,13 @@ class TestUsage:
 
 
 def test_module_entry_point():
+    # the child does not inherit pytest's sys.path, so hand it this checkout's package
+    pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "splitfactor.cli", "extremal", "3"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("K: x1 x2 x3\n")

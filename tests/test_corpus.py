@@ -73,9 +73,7 @@ class TestExhaustive:
         seen = set()
         for _, S in generate(CorpusSpec("exhaustive", 2, 2)):
             assert S.clique == ("x1", "x2") and S.independent == ("y1", "y2")
-            code = tuple(
-                frozenset(S.neighborhood(v).members) for v in S.independent
-            )
+            code = tuple(S.neighborhood(v) for v in S.independent)
             seen.add(code)
         subsets = [frozenset(), {"x1"}, {"x2"}, {"x1", "x2"}]
         assert seen == {(frozenset(a), frozenset(b)) for a in subsets for b in subsets}

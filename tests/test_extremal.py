@@ -34,8 +34,8 @@ def test_base_member():
     inst = build_extremal(1)
     assert inst.graph.clique == ("x1", "x2")
     assert inst.graph.independent == ("y1", "y2")
-    assert set(inst.graph.neighborhood("y1").members) == {"x1"}
-    assert set(inst.graph.neighborhood("y2").members) == {"x2"}
+    assert inst.graph.neighborhood("y1") == {"x1"}
+    assert inst.graph.neighborhood("y2") == {"x2"}
     assert inst.expected_factor == FactorGraph(("y1", "y2"), {("y1", "y2"): 1})
     assert inst.path_length == 1
 
@@ -43,7 +43,7 @@ def test_base_member():
 def test_second_member():
     inst = build_extremal(2)
     assert inst.graph.independent == ("y1", "y2", "y3")
-    assert set(inst.graph.neighborhood("y3").members) == {"x1"}
+    assert inst.graph.neighborhood("y3") == {"x1"}
     assert build_by_formula(inst.graph) == inst.expected_factor
     assert inst.path_length == 2
 

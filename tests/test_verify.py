@@ -11,15 +11,11 @@ from splitfactor import (
     CorpusSpec,
     FactorGraph,
     GraphError,
-    InducedPath,
     SplitGraph,
     build_by_formula,
     check_cycle_bound,
     check_diameter_bound,
-    check_divisibility,
-    check_p5_forbidden,
-    check_path_structure,
-    check_simple_edge_positions,
+    check_paths,
     enumerate_induced_cycles,
     enumerate_induced_paths,
     is_induced_cycle,
@@ -55,7 +51,7 @@ class TestEnumerators:
     def test_canonical_path_orientation(self, demo_graph):
         phi = build_by_formula(demo_graph)
         for p in enumerate_induced_paths(phi):
-            assert phi.index_of(p.vertices[0]) < phi.index_of(p.vertices[-1])
+            assert phi.index_of(p[0]) < phi.index_of(p[-1])
 
     def test_max_len_caps_enumeration(self, demo_graph):
         phi = build_by_formula(demo_graph)
@@ -71,7 +67,7 @@ class TestEnumerators:
 
     def test_five_ring_has_one_canonical_cycle(self):
         cycles = enumerate_induced_cycles(ring(("a", "b", "c", "d", "e")))
-        assert [c.vertices for c in cycles] == [("a", "b", "c", "d", "e")]
+        assert cycles == [("a", "b", "c", "d", "e")]
 
     def test_complete_graph_paths_are_edges_only(self):
         verts = ("a", "b", "c", "d")
@@ -94,8 +90,8 @@ class TestEnumerators:
                 if rng.random() < 0.4
             }
             phi = FactorGraph(verts, mult)
-            got_paths = {p.vertices for p in enumerate_induced_paths(phi)}
-            got_cycles = {c.vertices for c in enumerate_induced_cycles(phi)}
+            got_paths = set(enumerate_induced_paths(phi))
+            got_cycles = set(enumerate_induced_cycles(phi))
             assert got_paths == brute_induced_paths(phi, n)
             assert got_cycles == brute_induced_cycles(phi)
             for p in got_paths:
@@ -126,40 +122,47 @@ class TestValidators:
 
 class TestPerPathChecks:
     def test_path_structure_demo(self, demo_graph):
-        results = check_path_structure(demo_graph, ("1", "2", "3", "4"))
+        results = check_paths(demo_graph, paths=[("1", "2", "3", "4")])
         assert [r.name for r in results] == [
             "path-max-at-ends",
             "path-inclusion-chain",
             "path-union-collapse",
             "path-parity-monotone",
             "path-min-at-tail",
+            "p5-max-not-middle",
+            "first-edge-divisible-by-union-excess",
+            "first-edge-divisible-by-clique-excess",
+            "union-sqrt-bound",
+            "simple-edges-terminal",
+            "p4-no-simple-middle",
+            "p3-pendant-difference",
+            "p3-tail-decomposition",
+            "p3-first-multiplicity",
         ]
         assert all(r.passed for r in results)
 
     def test_divisibility_demo(self, demo_graph):
-        results = check_divisibility(demo_graph, ("1", "2", "3", "4"))
-        assert [r.name for r in results] == [
+        results = {r.name: r for r in check_paths(demo_graph)}
+        for name in (
             "first-edge-divisible-by-union-excess",
             "first-edge-divisible-by-clique-excess",
             "union-sqrt-bound",
-        ]
-        assert all(r.passed for r in results)
+        ):
+            assert results[name].passed
 
-    @pytest.mark.parametrize("check, path", [
-        (lambda S, path: check_path_structure(S, path), ("1", "3")),
-        (lambda S, path: check_simple_edge_positions(S, paths=[InducedPath(path)]),
-         ("2", "1", "4", "3")),
-        (lambda S, path: check_p5_forbidden(S, paths=[InducedPath(path)]),
-         ("2", "1", "4", "3", "2")),
-    ], ids=["check_path_structure", "check_simple_edge_positions", "check_p5_forbidden"])
-    def test_non_induced_sequence_rejected(self, demo_graph, check, path):
+    @pytest.mark.parametrize("path", [
+        ("1", "3"),
+        ("2", "1", "4", "3"),
+        ("2", "1", "4", "3", "2"),
+    ], ids=["two-vertex-non-edge", "four-vertex-non-edge", "repeated-vertex"])
+    def test_non_induced_sequence_rejected(self, demo_graph, path):
         with pytest.raises(GraphError, match=f"not an induced path: {' '.join(path)}"):
-            check(demo_graph, path)
+            check_paths(demo_graph, paths=[path])
 
     def test_mismatched_factor_graph_rejected(self, demo_graph):
         wrong = FactorGraph(("1", "2"), {("1", "2"): 1})
         with pytest.raises(GraphError, match="do not match"):
-            check_path_structure(demo_graph, ("1", "2"), phi=wrong)
+            check_paths(demo_graph, wrong, [("1", "2")])
 
 
 class TestFabricatedFailures:
@@ -182,7 +185,7 @@ class TestFabricatedFailures:
 
     def test_interior_simple_edge_failure(self, demo_graph):
         fake = chain(("1", "2", "3", "4"), (2, 1, 2))
-        results = {r.name: r for r in check_simple_edge_positions(demo_graph, phi=fake)}
+        results = {r.name: r for r in check_paths(demo_graph, fake)}
         terminal = results["simple-edges-terminal"]
         assert not terminal.passed
         assert "interior edge 2 has multiplicity 1" in terminal.witness
@@ -195,7 +198,7 @@ class TestFabricatedFailures:
             {"a": {"x"}, "b": {"y"}, "c": {"x", "y", "z"}, "d": {"y"}, "e": {"z"}},
         )
         fake = chain(("a", "b", "c", "d", "e"), (1, 1, 1, 1))
-        result = check_p5_forbidden(S, phi=fake)
+        result = {r.name: r for r in check_paths(S, fake)}["p5-max-not-middle"]
         assert not result.passed
         assert "middle degree equals the maximum" in result.witness
 
@@ -247,11 +250,7 @@ class TestFabricatedFailures:
             sorted(set("".join(neighborhoods.values()))), neighborhoods
         )
         fake = chain(labels, mults)
-        results = [
-            *check_path_structure(S, labels, phi=fake),
-            *check_divisibility(S, labels, phi=fake),
-            *check_simple_edge_positions(S, phi=fake),
-        ]
+        results = [*check_paths(S, fake, [labels]), *check_paths(S, fake)]
         assert CheckResult(law, False, witness) in results
 
 
