@@ -50,6 +50,10 @@ class CorpusSpec:
     def __post_init__(self):
         if self.mode not in ("exhaustive", "random"):
             raise GraphError(f"unknown corpus mode {self.mode!r}")
+        for name in ("k_max", "i_max", "count", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise GraphError(f"{name} must be an int, got {value!r}")
         if self.k_max < 0 or self.i_max < 0:
             raise GraphError("sizes must be non-negative")
         if self.mode == "exhaustive" and self.k_max * self.i_max > EXHAUSTIVE_BIT_BUDGET:
@@ -64,18 +68,24 @@ class CorpusSpec:
                 raise GraphError("random corpus draws at most 63 clique bits per vertex")
 
 
-_label_cache: dict[tuple[int, int], tuple[tuple[str, ...], tuple[str, ...]]] = {}
+_empty_cache: dict[tuple[int, int], SplitGraph] = {}
+
+
+def _empty_graph(k: int, i: int) -> SplitGraph:
+    """The instance at sizes (k, i) with no I-K edges, built once per size."""
+    key = (k, i)
+    if key not in _empty_cache:
+        _empty_cache[key] = SplitGraph(
+            tuple(f"x{j}" for j in range(1, k + 1)),
+            tuple(f"y{j}" for j in range(1, i + 1)),
+        )
+    return _empty_cache[key]
 
 
 def corpus_labels(k: int, i: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Standard labels: clique x1..xk, independent y1..yi."""
-    key = (k, i)
-    if key not in _label_cache:
-        _label_cache[key] = (
-            tuple(f"x{j}" for j in range(1, k + 1)),
-            tuple(f"y{j}" for j in range(1, i + 1)),
-        )
-    return _label_cache[key]
+    empty = _empty_graph(k, i)
+    return empty.clique, empty.independent
 
 
 def corpus_size(spec: CorpusSpec) -> int:
@@ -105,15 +115,7 @@ def instance(spec: CorpusSpec, index: int) -> SplitGraph:
     total = corpus_size(spec)
     if not 0 <= index < total:
         raise GraphError(f"index {index} outside corpus of size {total}")
-    clique, independent = corpus_labels(spec.k_max, spec.i_max)
-    masks = _masks_for(spec, index)
-    edges = [
-        (independent[j], clique[b])
-        for j, mask in enumerate(masks)
-        for b in range(spec.k_max)
-        if mask >> b & 1
-    ]
-    return SplitGraph(clique, independent, edges)
+    return _empty_graph(spec.k_max, spec.i_max).with_masks(_masks_for(spec, index))
 
 
 def generate(

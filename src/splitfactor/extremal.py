@@ -61,7 +61,7 @@ def expected_multiplicities(n: int) -> list[int]:
 
 def build_extremal(n: int) -> ExtremalInstance:
     """Construct the n-th family member by running the induction from n=1."""
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise GraphError(f"extremal family is indexed by integers n >= 1, got {n!r}")
     clique = ["x1", "x2"]
     nbhd: dict[str, set[str]] = {"y1": {"x1"}, "y2": {"x2"}}
@@ -118,12 +118,13 @@ def verify_extremal(inst: ExtremalInstance) -> list[CheckResult]:
     length = inst.path_length
     results: list[CheckResult] = []
 
-    degree_ok = phi.size() == n and len(enumerate_two_switches(inst.graph)) == n
+    moves = len(enumerate_two_switches(inst.graph))
+    degree_ok = phi.size() == n and moves == n
     results.append(
         CheckResult(
             EXTREMAL_DEGREE,
             degree_ok,
-            None if degree_ok else f"n={n}; switch degree {phi.size()}",
+            None if degree_ok else f"n={n}; factor size {phi.size()}, {moves} enumerated moves",
         )
     )
 

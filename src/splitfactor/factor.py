@@ -62,7 +62,7 @@ class FactorGraph:
                 raise GraphError(f"multiplicity references unknown vertex {bad!r}")
             if a_lab == b_lab:
                 raise GraphError(f"loop multiplicity on {a_lab!r}")
-            if not isinstance(m, int) or m < 0:
+            if type(m) is not int or m < 0:  # exact type: bool is an int subclass
                 raise GraphError(f"multiplicity of {a_lab!r}-{b_lab!r} must be a non-negative int")
             if m == 0:
                 continue
@@ -189,9 +189,8 @@ def build_by_formula(S: SplitGraph) -> FactorGraph:
 def build_by_enumeration(S: SplitGraph) -> FactorGraph:
     """Factor graph by counting enumerated 2-switches per I-pair."""
     counts: dict[tuple[str, str], int] = {}
-    for move in enumerate_two_switches(S):
-        key = (move.u, move.v)
-        counts[key] = counts.get(key, 0) + 1
+    for u, _, v, _ in enumerate_two_switches(S):
+        counts[u, v] = counts.get((u, v), 0) + 1
     return FactorGraph(S.independent, counts)
 
 

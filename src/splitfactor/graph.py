@@ -26,7 +26,7 @@ reconstructed); an explicit edge inside I is a hard error.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class GraphError(ValueError):
@@ -129,6 +129,36 @@ class SplitGraph:
         """Build from a map: independent vertex -> its clique neighbors."""
         edges = [(v, w) for v, members in neighborhoods.items() for w in members]
         return cls(clique, neighborhoods.keys(), edges)
+
+    def with_masks(self, masks: Sequence[int]) -> "SplitGraph":
+        """The graph on this partition where independent vertex j has clique
+        neighborhood ``masks[j]``, a bitmask over clique indices.
+
+        Labels and the label index are shared with this graph, which has
+        already validated them; only the masks are checked.
+        """
+        k = self.k_size
+        i = len(self.independent)
+        if len(masks) != i:
+            raise GraphError(f"expected {i} neighborhood masks, got {len(masks)}")
+        k_mask = (1 << k) - 1
+        adj = [m & k_mask for m in self.adj_masks[:k]]
+        for j, mask in enumerate(masks):
+            if mask >> k:
+                raise GraphError(f"mask {mask!r} of {self.independent[j]!r} lies outside K")
+            bit = 1 << (k + j)
+            for b in bits(mask):
+                adj[b] |= bit
+        adj.extend(masks)
+        g = object.__new__(SplitGraph)
+        init = object.__setattr__  # skips the immutability guard's lookups
+        init(g, "clique", self.clique)
+        init(g, "independent", self.independent)
+        init(g, "labels", self.labels)
+        init(g, "adj_masks", tuple(adj))
+        init(g, "k_size", k)
+        init(g, "_index", self._index)
+        return g
 
     # -- queries ---------------------------------------------------------------
 

@@ -12,13 +12,14 @@ first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
+from itertools import product
+from typing import NamedTuple
 
 from .graph import GraphError, SplitGraph, bits
 
 
-@dataclass(frozen=True)
-class TwoSwitch:
+class TwoSwitch(NamedTuple):
     """Deletes edges u-x and v-y, inserts u-y and v-x.
 
     u, v are independent-set vertices, x, y clique vertices.  Validity in
@@ -35,6 +36,10 @@ class TwoSwitch:
         return TwoSwitch(self.u, self.y, self.v, self.x)
 
 
+# Builds a TwoSwitch from a 4-tuple without running Python-level code.
+_make_move = partial(tuple.__new__, TwoSwitch)
+
+
 def enumerate_two_switches(S: SplitGraph) -> list[TwoSwitch]:
     """All 2-switches of S, one per unordered pair of deleted edges.
 
@@ -48,23 +53,19 @@ def enumerate_two_switches(S: SplitGraph) -> list[TwoSwitch]:
     n = len(labels)
     out: list[TwoSwitch] = []
     for a in range(k, n):
+        ma = masks[a]
         for b in range(a + 1, n):
-            only_a = masks[a] & ~masks[b]
+            mb = masks[b]
+            only_a = ma & ~mb
             if not only_a:
                 continue
-            only_b = masks[b] & ~masks[a]
+            only_b = mb & ~ma
             if not only_b:
                 continue
-            u, v = labels[a], labels[b]
-            for x in bits(only_a):
-                for y in bits(only_b):
-                    out.append(TwoSwitch(u, labels[x], v, labels[y]))
+            xs = [labels[x] for x in bits(only_a)]
+            ys = [labels[y] for y in bits(only_b)]
+            out.extend(map(_make_move, product((labels[a],), xs, (labels[b],), ys)))
     return out
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise GraphError(message)
 
 
 def apply_two_switch(S: SplitGraph, move: TwoSwitch) -> SplitGraph:
@@ -74,21 +75,34 @@ def apply_two_switch(S: SplitGraph, move: TwoSwitch) -> SplitGraph:
     only I-K edges change.  Every precondition is checked and a violation
     names the offending edge condition.
     """
-    u, x, v, y = move.u, move.x, move.v, move.y
+    u, x, v, y = move
     iu, ix = S.index_of(u), S.index_of(x)
     iv, iy = S.index_of(v), S.index_of(y)
     k = S.k_size
-    _require(iu >= k, f"vertex {u!r} is not in the independent set")
-    _require(iv >= k, f"vertex {v!r} is not in the independent set")
-    _require(ix < k, f"vertex {x!r} is not in the clique")
-    _require(iy < k, f"vertex {y!r} is not in the clique")
-    _require(u != v, f"independent endpoints coincide: {u!r}")
-    _require(x != y, f"clique endpoints coincide: {x!r}")
-    _require(S.adj_masks[iu] >> ix & 1, f"missing edge {u!r}-{x!r}")
-    _require(S.adj_masks[iv] >> iy & 1, f"missing edge {v!r}-{y!r}")
-    _require(not S.adj_masks[iu] >> iy & 1, f"edge {u!r}-{y!r} already present")
-    _require(not S.adj_masks[iv] >> ix & 1, f"edge {v!r}-{x!r} already present")
-    edges = [e for e in S.independent_edges() if e != (u, x) and e != (v, y)]
-    edges.append((u, y))
-    edges.append((v, x))
-    return SplitGraph(S.clique, S.independent, edges)
+    masks = S.adj_masks
+    if iu < k:
+        raise GraphError(f"vertex {u!r} is not in the independent set")
+    if iv < k:
+        raise GraphError(f"vertex {v!r} is not in the independent set")
+    if ix >= k:
+        raise GraphError(f"vertex {x!r} is not in the clique")
+    if iy >= k:
+        raise GraphError(f"vertex {y!r} is not in the clique")
+    if u == v:
+        raise GraphError(f"independent endpoints coincide: {u!r}")
+    if x == y:
+        raise GraphError(f"clique endpoints coincide: {x!r}")
+    if not masks[iu] >> ix & 1:
+        raise GraphError(f"missing edge {u!r}-{x!r}")
+    if not masks[iv] >> iy & 1:
+        raise GraphError(f"missing edge {v!r}-{y!r}")
+    if masks[iu] >> iy & 1:
+        raise GraphError(f"edge {u!r}-{y!r} already present")
+    if masks[iv] >> ix & 1:
+        raise GraphError(f"edge {v!r}-{x!r} already present")
+    # u trades x for y and v trades y for x: the same two bits flip in both.
+    flip = 1 << ix | 1 << iy
+    independent = list(masks[k:])
+    independent[iu - k] ^= flip
+    independent[iv - k] ^= flip
+    return S.with_masks(independent)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from splitfactor import FactorGraph, SplitGraph
+from splitfactor import CorpusSpec, FactorGraph, SplitGraph, splitmix64
 
 
 def brute_neighborhood(S: SplitGraph, v: str) -> set[str]:
@@ -39,6 +39,34 @@ def brute_two_switch_keys(S: SplitGraph) -> tuple[set[tuple], int]:
             raw += 1
             keys.add(two_switch_key(a, b, c, d))
     return keys, raw
+
+
+def brute_apply_two_switch(S: SplitGraph, move: tuple[str, str, str, str]) -> SplitGraph:
+    """The switched graph rebuilt from labelled edges: S's I-K edges minus
+    u-x and v-y, plus u-y and v-x.  Assumes the move is valid in S."""
+    u, x, v, y = move
+    edges = [e for e in S.independent_edges() if e != (u, x) and e != (v, y)]
+    edges.append((u, y))
+    edges.append((v, x))
+    return SplitGraph(S.clique, S.independent, edges)
+
+
+def brute_instance(spec: CorpusSpec, index: int) -> SplitGraph:
+    """Corpus instance rebuilt from labelled edges.  Independent vertex
+    y(j+1) has clique neighborhood mask j: bits j*k .. j*k+k-1 of the index
+    in exhaustive mode, the low k bits of SplitMix64 output index*i + j in
+    random mode."""
+    k, i = spec.k_max, spec.i_max
+    clique = [f"x{b + 1}" for b in range(k)]
+    independent = [f"y{j + 1}" for j in range(i)]
+    edges = []
+    for j in range(i):
+        if spec.mode == "exhaustive":
+            mask = index >> (j * k) & ((1 << k) - 1)
+        else:
+            mask = splitmix64(spec.seed, index * i + j) & ((1 << k) - 1)
+        edges.extend((independent[j], clique[b]) for b in range(k) if mask >> b & 1)
+    return SplitGraph(clique, independent, edges)
 
 
 def brute_split_partitions(

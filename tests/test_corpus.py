@@ -14,6 +14,8 @@ from splitfactor import (
 )
 from splitfactor.corpus import corpus_labels
 
+from bruteforce import brute_instance
+
 # Reference outputs of the underlying 64-bit mixer.  splitmix64(seed, c)
 # must equal the (c+1)-th output of a stateful generator seeded with
 # `seed`; the seed-0 and seed-1234567 streams below are the widely
@@ -61,6 +63,21 @@ class TestSpecValidation:
     def test_random_width_cap(self):
         with pytest.raises(GraphError, match="63"):
             CorpusSpec("random", 64, 2)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(mode="exhaustive", k_max=2.5, i_max=2), "k_max"),
+            (dict(mode="exhaustive", k_max=2, i_max=True), "i_max"),
+            (dict(mode="random", k_max=3, i_max=2, count=2.5), "count"),
+            (dict(mode="random", k_max=3, i_max=2, seed="7"), "seed"),
+            (dict(mode="random", k_max=3, i_max=2, seed=False), "seed"),
+        ],
+        ids=["float-k", "bool-i", "float-count", "str-seed", "bool-seed"],
+    )
+    def test_sizes_must_be_ints(self, kwargs, name):
+        with pytest.raises(GraphError, match=f"{name} must be an int"):
+            CorpusSpec(**kwargs)
 
 
 class TestExhaustive:
@@ -137,7 +154,20 @@ def test_corpus_labels_shape():
 
 
 def test_generated_graphs_are_valid():
-    # the constructor re-validates every instance the corpus emits
     for _, S in generate(CorpusSpec("exhaustive", 2, 3)):
         assert isinstance(S, SplitGraph)
         assert S.k_size == 2 and len(S.independent) == 3
+
+
+class TestInstanceOracle:
+    """instance() builds from masks; the oracle rebuilds from labelled edges."""
+
+    def test_exhaustive_3x3(self):
+        spec = CorpusSpec("exhaustive", 3, 3)
+        for index in range(corpus_size(spec)):
+            assert instance(spec, index) == brute_instance(spec, index)
+
+    def test_random_8x8(self):
+        spec = CorpusSpec("random", 8, 8, count=10_000, seed=4242)
+        for index in range(0, 10_000, 20):
+            assert instance(spec, index) == brute_instance(spec, index)

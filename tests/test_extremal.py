@@ -2,6 +2,7 @@
 
 import pytest
 
+import splitfactor.extremal
 from splitfactor import (
     EXTREMAL_CHECK_NAMES,
     FactorGraph,
@@ -81,7 +82,22 @@ def test_diameter_meets_bound_exactly():
         assert summary.value == (n + 2) // 2 == (phi.size() + 2) // 2
 
 
-@pytest.mark.parametrize("bad", [0, -3, "x", 2.5])
+@pytest.mark.parametrize("bad", [0, -3, "x", 2.5, True])
 def test_bad_index_rejected(bad):
     with pytest.raises(GraphError, match="n >= 1"):
         build_extremal(bad)
+
+
+def test_degree_witness_names_both_counts(monkeypatch):
+    # the formula size stays n = 3 while the enumeration reports one move more
+    real = splitfactor.extremal.enumerate_two_switches
+
+    def one_extra(S):
+        moves = real(S)
+        return moves + moves[:1]
+
+    monkeypatch.setattr(splitfactor.extremal, "enumerate_two_switches", one_extra)
+    degree = verify_extremal(build_extremal(3))[0]
+    assert degree.line() == (
+        "CHECK extremal-switch-degree FAIL n=3; factor size 3, 4 enumerated moves"
+    )

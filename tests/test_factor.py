@@ -88,6 +88,10 @@ class TestFactorGraphType:
         with pytest.raises(GraphError, match="non-negative int"):
             FactorGraph(("a", "b"), {("a", "b"): -1})
 
+    def test_bool_multiplicity_rejected(self):
+        with pytest.raises(GraphError, match="non-negative int"):
+            FactorGraph(("a", "b"), {("a", "b"): True})
+
     def test_duplicate_vertex_rejected(self):
         with pytest.raises(GraphError, match="duplicate"):
             FactorGraph(("a", "a"), {})

@@ -103,6 +103,32 @@ class TestConstruction:
         assert S.edge_count() == 0
 
 
+class TestWithMasks:
+    def test_masks_replace_neighborhoods(self, demo_graph):
+        # bits over the clique x, y, z, t; the demo's own I-K edges must go
+        S = demo_graph.with_masks([0b0010, 0b0001, 0b1100, 0])
+        expected = SplitGraph.from_neighborhoods(
+            ["x", "y", "z", "t"], {"1": {"y"}, "2": {"x"}, "3": {"z", "t"}, "4": set()}
+        )
+        assert S == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(split_graphs())
+    def test_matches_constructor_property(self, S):
+        empty = SplitGraph(S.clique, S.independent)
+        assert empty.with_masks(S.adj_masks[S.k_size:]) == S
+
+    @pytest.mark.parametrize("masks", [[1, 2, 4], [1, 2, 4, 8, 0]], ids=["short", "long"])
+    def test_wrong_mask_count_rejected(self, demo_graph, masks):
+        with pytest.raises(GraphError, match="expected 4 neighborhood masks"):
+            demo_graph.with_masks(masks)
+
+    @pytest.mark.parametrize("mask", [0b10000, -1], ids=["beyond-k", "negative"])
+    def test_mask_outside_clique_rejected(self, demo_graph, mask):
+        with pytest.raises(GraphError, match="of '2' lies outside K"):
+            demo_graph.with_masks([1, mask, 0, 0])
+
+
 class TestQueries:
     def test_neighborhoods_match_bruteforce(self, demo_graph):
         for v in demo_graph.labels:

@@ -11,10 +11,12 @@ from splitfactor import (
     TwoSwitch,
     apply_two_switch,
     enumerate_two_switches,
+    format_split_text,
     generate,
+    parse_split_text,
 )
 
-from bruteforce import brute_two_switch_keys, two_switch_key
+from bruteforce import brute_apply_two_switch, brute_two_switch_keys, two_switch_key
 from test_graph import split_graphs
 
 DEMO_MOVES = [
@@ -29,6 +31,15 @@ DEMO_MOVES = [
 def test_demo_moves_frozen(demo_graph):
     got = [(m.u, m.x, m.v, m.y) for m in enumerate_two_switches(demo_graph)]
     assert got == DEMO_MOVES
+
+
+def test_moves_are_immutable_named_tuples(demo_graph):
+    move = enumerate_two_switches(demo_graph)[0]
+    assert isinstance(move, tuple) and move == ("1", "x", "2", "y")
+    assert repr(move) == "TwoSwitch(u='1', x='x', v='2', y='y')"
+    assert move.reversed() == TwoSwitch("1", "y", "2", "x")
+    with pytest.raises(AttributeError):
+        move.x = "z"
 
 
 def test_equal_neighborhoods_admit_no_moves():
@@ -82,6 +93,11 @@ class TestApply:
             assert apply_two_switch(there, move.reversed()) == demo_graph
             assert there != demo_graph
 
+    def test_matches_oracle_exhaustive_3x3(self):
+        for _, S in generate(CorpusSpec("exhaustive", 3, 3)):
+            for move in enumerate_two_switches(S):
+                assert apply_two_switch(S, move) == brute_apply_two_switch(S, move)
+
     def test_missing_edge_rejected(self, demo_graph):
         with pytest.raises(GraphError, match="missing edge '1'-'y'"):
             apply_two_switch(demo_graph, TwoSwitch("1", "y", "2", "x"))
@@ -97,6 +113,27 @@ class TestApply:
         with pytest.raises(GraphError, match="not in the clique"):
             apply_two_switch(demo_graph, TwoSwitch("1", "3", "2", "y"))
 
+    @pytest.mark.parametrize(
+        "move, message",
+        [
+            (("x", "1", "2", "y"), "vertex 'x' is not in the independent set"),
+            (("1", "x", "y", "2"), "vertex 'y' is not in the independent set"),
+            (("1", "3", "2", "y"), "vertex '3' is not in the clique"),
+            (("1", "x", "2", "4"), "vertex '4' is not in the clique"),
+            (("1", "x", "1", "y"), "independent endpoints coincide: '1'"),
+            (("1", "x", "2", "x"), "clique endpoints coincide: 'x'"),
+            (("1", "y", "2", "x"), "missing edge '1'-'y'"),
+            (("1", "x", "2", "z"), "missing edge '2'-'z'"),
+            (("4", "x", "2", "y"), "edge '4'-'y' already present"),
+            (("1", "x", "3", "z"), "edge '3'-'x' already present"),
+        ],
+    )
+    def test_precondition_messages(self, demo_graph, move, message):
+        # the ten checks in their order; each case passes every check before its own
+        with pytest.raises(GraphError) as exc:
+            apply_two_switch(demo_graph, TwoSwitch(*move))
+        assert str(exc.value) == message
+
     def test_coincident_endpoints_rejected(self, demo_graph):
         with pytest.raises(GraphError, match="coincide"):
             apply_two_switch(demo_graph, TwoSwitch("1", "x", "1", "y"))
@@ -109,7 +146,17 @@ class TestApply:
             return
         move = rng.choice(moves)
         after = apply_two_switch(S, move)
+        assert after == brute_apply_two_switch(S, move)
         # same partition, same degree sequence, move reversed restores S
         assert after.clique == S.clique and after.independent == S.independent
         assert after.degrees() == S.degrees()
         assert apply_two_switch(after, move.reversed()) == S
+
+    @settings(max_examples=60, deadline=None)
+    @given(split_graphs(), st.randoms(use_true_random=False))
+    def test_text_round_trip_after_apply(self, S, rng):
+        moves = enumerate_two_switches(S)
+        if not moves:
+            return
+        after = apply_two_switch(S, rng.choice(moves))
+        assert parse_split_text(format_split_text(after)) == after
