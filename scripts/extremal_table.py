@@ -7,6 +7,7 @@ table recomputes everything from scratch so it doubles as a quick
 eyeball check of the whole chain.
 
 Usage: python scripts/extremal_table.py [--max-n N]
+(in a checkout without an install: PYTHONPATH=src python scripts/extremal_table.py ...)
 """
 
 import argparse

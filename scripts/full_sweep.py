@@ -6,6 +6,7 @@ at |K| = |I| = 4 and on a seeded random corpus at |K| = |I| = 8.  Exit
 code 2 when any instance fails any check.
 
 Usage: python scripts/full_sweep.py [--count N] [--seed S] [--workers W]
+(in a checkout without an install: PYTHONPATH=src python scripts/full_sweep.py ...)
 """
 
 import argparse

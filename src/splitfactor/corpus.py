@@ -94,7 +94,13 @@ def corpus_size(spec: CorpusSpec) -> int:
     return spec.count
 
 
+def _check_index(name: str, value: object) -> None:
+    if type(value) is not int:  # exact type: bool is an int subclass
+        raise GraphError(f"{name} must be an int, got {value!r}")
+
+
 def instance_id(spec: CorpusSpec, index: int) -> str:
+    _check_index("index", index)
     if spec.mode == "exhaustive":
         return f"exhaustive-k{spec.k_max}-i{spec.i_max}-{index}"
     return f"random-k{spec.k_max}-i{spec.i_max}-s{spec.seed}-{index}"
@@ -112,6 +118,7 @@ def _masks_for(spec: CorpusSpec, index: int) -> list[int]:
 
 def instance(spec: CorpusSpec, index: int) -> SplitGraph:
     """Materialize one instance by index; pure in (spec, index)."""
+    _check_index("index", index)
     total = corpus_size(spec)
     if not 0 <= index < total:
         raise GraphError(f"index {index} outside corpus of size {total}")
@@ -125,6 +132,8 @@ def generate(
     total = corpus_size(spec)
     if stop is None:
         stop = total
+    _check_index("start", start)
+    _check_index("stop", stop)
     if not (0 <= start <= stop <= total):
         raise GraphError(f"range [{start}, {stop}) outside corpus of size {total}")
     for index in range(start, stop):

@@ -100,6 +100,15 @@ class FactorGraph:
     def multiplicity_by_index(self, a: int, b: int) -> int:
         return self._mult.get((a, b) if a < b else (b, a), 0)
 
+    def multiplicity_table(self) -> list[int]:
+        """All multiplicities as a flat row-major list: entry ``a * |V| + b``
+        is the multiplicity of vertex indices a and b, zero on the diagonal."""
+        n = len(self.vertices)
+        table = [0] * (n * n)
+        for (a, b), m in self._mult.items():
+            table[a * n + b] = table[b * n + a] = m
+        return table
+
     def neighbor_masks(self) -> tuple[int, ...]:
         """Adjacency bitmasks of the underlying simple view, by vertex index."""
         return self._nbr_masks

@@ -135,7 +135,8 @@ class SplitGraph:
         neighborhood ``masks[j]``, a bitmask over clique indices.
 
         Labels and the label index are shared with this graph, which has
-        already validated them; only the masks are checked.
+        already validated them; only the masks are checked: each must be an
+        ``int`` (not a ``bool``) with no bit at or above |K|.
         """
         k = self.k_size
         i = len(self.independent)
@@ -144,6 +145,8 @@ class SplitGraph:
         k_mask = (1 << k) - 1
         adj = [m & k_mask for m in self.adj_masks[:k]]
         for j, mask in enumerate(masks):
+            if type(mask) is not int:  # exact type: bool is an int subclass
+                raise GraphError(f"mask {mask!r} of {self.independent[j]!r} must be an int")
             if mask >> k:
                 raise GraphError(f"mask {mask!r} of {self.independent[j]!r} lies outside K")
             bit = 1 << (k + j)

@@ -51,6 +51,11 @@ The laws, by check name:
   exactly d_2 - d_1 + 1.
 - ``diameter-bound``: a connected phi has diameter at most
   ceil((size + 1) / 2); disconnected instances pass with a note.
+
+``verify_all`` decides the cycle and diameter laws by certificate where one
+exists (an umbrella-free degree order; a connected phi with |I| - 1 within
+the bound) and falls back to ``check_cycle_bound`` and
+``check_diameter_bound`` otherwise, so its results equal theirs.
 """
 
 from __future__ import annotations
@@ -252,19 +257,21 @@ def enumerate_induced_cycles(phi: FactorGraph) -> list[tuple[str, ...]]:
 class _Context:
     """Index-level view of one (S, phi) instance, built once per verification.
 
+    ``mult`` is phi's flat multiplicity table (entry ``a * n + b``).
     ``failed`` maps a law name to the witness of its first failure; a law
     that never failed is absent, so witnesses are formatted only on failure.
     """
 
-    __slots__ = ("labels", "deg", "nmask", "mult", "nbr", "k_size", "clique_law", "failed")
+    __slots__ = ("labels", "n", "deg", "nmask", "mult", "nbr", "k_size", "clique_law", "failed")
 
     def __init__(self, S: SplitGraph, phi: FactorGraph):
         if set(phi.vertices) != set(S.independent):
             raise GraphError("factor graph vertices do not match the independent set")
         self.labels = phi.vertices
+        self.n = len(self.labels)
         self.deg = [S.degree(v) for v in self.labels]
         self.nmask = [S.adj_masks[S.index_of(v)] for v in self.labels]
-        self.mult = phi.multiplicity_by_index
+        self.mult = phi.multiplicity_table()
         self.nbr = phi.neighbor_masks()
         self.k_size = S.k_size
         union = 0
@@ -273,7 +280,7 @@ class _Context:
         # the clique-excess law speaks of a phi that is a path over all of I,
         # with K the union of all I-neighborhoods
         self.clique_law = (
-            union == (1 << S.k_size) - 1 and phi.simple_edge_count() == len(self.labels) - 1
+            union == (1 << S.k_size) - 1 and phi.simple_edge_count() == self.n - 1
         )
         self.failed: dict[str, str] = {}
 
@@ -292,14 +299,15 @@ class _Context:
 def _check_pairs(ctx: _Context) -> int:
     """Pair laws over every ordered pair; returns the number of equal-neighborhood pairs."""
     labels, deg, nmask, nbr, failed = ctx.labels, ctx.deg, ctx.nmask, ctx.nbr, ctx.failed
-    n = len(labels)
+    n, mult = ctx.n, ctx.mult
     equal_pairs = 0
     for a in range(n):
         da, Na = deg[a], nmask[a]
+        row = a * n
         for b in range(n):
             if a == b:
                 continue
-            m = ctx.mult(a, b)
+            m = mult[row + b]
             Nb = nmask[b]
             if (m == 0 and deg[b] <= da) != ((Nb & ~Na) == 0):
                 failed.setdefault(NESTING_IFF, f"pair {labels[a]} {labels[b]}")
@@ -347,8 +355,14 @@ def _check_oriented(ctx: _Context, seq: tuple[int, ...], d: list[int]) -> None:
     if min(d) != min(d[-2], d[-1]):
         ctx.fail(PATH_MIN, seq, "minimum not within last two positions")
 
-    excess = suffix[0].bit_count() - d[0]
-    first = ctx.mult(seq[0], seq[1])
+    _check_first_edge(ctx, seq, suffix[0])
+
+
+def _check_first_edge(ctx: _Context, seq: tuple[int, ...], union: int) -> None:
+    """Divisibility laws on the first edge of a head-maximal orientation whose
+    path neighborhoods have union ``union``."""
+    excess = union.bit_count() - ctx.deg[seq[0]]
+    first = ctx.mult[seq[0] * ctx.n + seq[1]]
     if excess == 0:
         # impossible while first > 0; reaching this means the instance is inconsistent
         ctx.fail(DIV_UNION, seq, "degenerate divisor (internal inconsistency)")
@@ -360,8 +374,8 @@ def _check_oriented(ctx: _Context, seq: tuple[int, ...], d: list[int]) -> None:
         if excess * excess > first:
             ctx.fail(SQRT_BOUND, seq,
                      f"union excess {excess} exceeds sqrt of first multiplicity {first}")
-    if ctx.clique_law and n == len(ctx.labels):
-        clique_excess = ctx.k_size - d[0]
+    if ctx.clique_law and len(seq) == ctx.n:
+        clique_excess = ctx.k_size - ctx.deg[seq[0]]
         if clique_excess == 0:
             ctx.fail(DIV_CLIQUE, seq, "degenerate divisor (internal inconsistency)")
         elif first % clique_excess:
@@ -374,11 +388,18 @@ def _check_path(ctx: _Context, p: tuple[int, ...]) -> None:
 
     The max-position, P5 and simple-edge laws hold in either direction; the
     item and divisibility laws are asserted for every orientation whose
-    head degree attains the path maximum (zero, one, or two of them).
+    head degree attains the path maximum (zero, one, or two of them).  On a
+    single edge only the first-edge divisibility laws have content, and with
+    equal end degrees both orientations give one verdict, so the edge is
+    checked once, head-maximal and named as given when the degrees tie.
     """
     deg = ctx.deg
-    d = [deg[v] for v in p]
     n = len(p)
+    if n == 2:
+        a, b = p
+        _check_first_edge(ctx, p if deg[a] >= deg[b] else (b, a), ctx.nmask[a] | ctx.nmask[b])
+        return
+    d = [deg[v] for v in p]
     top = max(d)
     if top not in (d[0], d[1], d[-2], d[-1]):
         ctx.fail(PATH_MAX, p, f"max degree {top} only at interior positions")
@@ -389,12 +410,13 @@ def _check_path(ctx: _Context, p: tuple[int, ...]) -> None:
     if n == 5 and d[2] == top:
         ctx.fail(P5_MIDDLE, p, "middle degree equals the maximum")
 
+    mult, stride = ctx.mult, ctx.n
     for t in range(1, n - 2):
-        if ctx.mult(p[t], p[t + 1]) == 1:
+        if mult[p[t] * stride + p[t + 1]] == 1:
             ctx.fail(SIMPLE_TERMINAL, p, f"interior edge {t + 1} has multiplicity 1")
             break
 
-    if n == 4 and ctx.mult(p[1], p[2]) == 1:
+    if n == 4 and mult[p[1] * stride + p[2]] == 1:
         for seq in (p, p[::-1]):
             d1, d2, d4 = deg[seq[0]], deg[seq[1]], deg[seq[3]]
             if d1 <= d2 >= d4:
@@ -411,7 +433,7 @@ def _check_path(ctx: _Context, p: tuple[int, ...]) -> None:
     if n == 3:
         for seq in (p, p[::-1]):
             a, b, c = seq
-            if deg[a] > deg[b] or ctx.mult(b, c) != 1:
+            if deg[a] > deg[b] or mult[b * stride + c] != 1:
                 continue
             Na, Nb, Nc = ctx.nmask[a], ctx.nmask[b], ctx.nmask[c]
             priv_a = Na & ~Nb
@@ -422,7 +444,7 @@ def _check_path(ctx: _Context, p: tuple[int, ...]) -> None:
             proper = (Nc & ~union_ab) == 0 and Nc != union_ab
             if not (decomposed and proper):
                 ctx.fail(P3_DECOMP, seq, "tail neighborhood fails the pendant decomposition")
-            if ctx.mult(a, b) != deg[b] - deg[a] + 1:
+            if mult[a * stride + b] != deg[b] - deg[a] + 1:
                 ctx.fail(P3_MULT, seq, "first multiplicity differs from degree gap plus one")
 
 
@@ -491,15 +513,62 @@ def check_diameter_bound(S: SplitGraph, phi: FactorGraph | None = None) -> Check
     )
 
 
+def _umbrella_free(nbr: Sequence[int], order: Sequence[int]) -> bool:
+    """Whether ``order``, a permutation of the vertex indices of the simple
+    graph with adjacency masks ``nbr``, has no umbrella: u before v before w
+    with uw an edge and uv, vw non-edges.
+
+    An umbrella-free order transitively orients the complement, so the graph
+    is a cocomparability graph and has no induced cycle on 5 or more
+    vertices (Golumbic, Monma and Trotter, "Tolerance graphs", 1984).
+    """
+    later = (1 << len(nbr)) - 1
+    earlier = 0
+    for v in order:
+        later ^= 1 << v
+        far = later & ~nbr[v]
+        if far:
+            for u in bits(earlier & ~nbr[v]):
+                if nbr[u] & far:
+                    return False
+        earlier |= 1 << v
+    return True
+
+
+def _connected(nbr: Sequence[int]) -> bool:
+    """Whether the simple graph with adjacency masks ``nbr`` is connected and non-empty."""
+    if not nbr:
+        return False
+    seen = frontier = 1
+    while frontier:
+        reach = 0
+        for w in bits(frontier):
+            reach |= nbr[w]
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen == (1 << len(nbr)) - 1
+
+
 def verify_all(
     S: SplitGraph, instance: str | None = None, max_len: int | None = None
 ) -> VerificationReport:
     """Run every structural check against one split graph.
 
     Builds the factor graph both ways, checks the builder and size
-    identities, the pairwise laws, then every path/cycle law over the
-    full induced-path enumeration (capped at ``max_len`` vertices when
-    given).
+    identities, the pairwise laws, then every path law over the full
+    induced-path enumeration (capped at ``max_len`` vertices when given).
+
+    The cycle and diameter laws are decided by certificate when one exists,
+    and otherwise by ``check_cycle_bound`` and ``check_diameter_bound``, so
+    every result equals theirs:
+
+    - ``cycle-length-bound`` passes without enumerating cycles when I,
+      ordered by degree (largest first, ties by index), has no umbrella.
+      On phi(S) it never has one: multiplicity 0 means nested
+      neighborhoods, so two non-edges u-v, v-w down the order nest N_w in
+      N_u and make u-w a non-edge too.
+    - ``diameter-bound`` passes after one connectivity search when phi is
+      connected and |I| - 1, which bounds its diameter, is within the bound.
     """
     if instance is None:
         instance = f"splitgraph-k{S.k_size}-i{len(S.independent)}-e{S.edge_count()}"
@@ -507,15 +576,21 @@ def verify_all(
     # one count per enumerated move, so its size is the 2-switch degree
     phi_enum = build_by_enumeration(S)
     ctx = _check_paths(S, phi, None, max_len)
+    size = phi.size()
     if phi != phi_enum:
         ctx.failed[BUILDERS_AGREE] = "formula and enumeration builders disagree"
-    if phi.size() != phi_enum.size():
-        ctx.failed[SIZE_DEGREE] = f"size {phi.size()} != switch degree {phi_enum.size()}"
+    if size != phi_enum.size():
+        ctx.failed[SIZE_DEGREE] = f"size {size} != switch degree {phi_enum.size()}"
     equal_pairs = _check_pairs(ctx)
 
-    checks = ctx.results(CHECK_NAMES[:-1])
-    checks[CHECK_NAMES.index(CYCLE_BOUND)] = check_cycle_bound(phi)
-    checks.append(check_diameter_bound(S, phi))
+    checks = ctx.results(CHECK_NAMES[:-1])  # cycle-length-bound reads PASS here
+    by_degree = sorted(range(ctx.n), key=ctx.deg.__getitem__, reverse=True)  # ties keep index order
+    if not _umbrella_free(ctx.nbr, by_degree):
+        checks[CHECK_NAMES.index(CYCLE_BOUND)] = check_cycle_bound(phi)
+    if _connected(ctx.nbr) and ctx.n - 1 <= (size + 2) // 2:
+        checks.append(CheckResult(DIAMETER_BOUND, True))
+    else:
+        checks.append(check_diameter_bound(S, phi))
     if equal_pairs:
         nesting = CHECK_NAMES.index(NESTING_IFF)
         checks[nesting] = replace(checks[nesting], note=f"neighborhood-equal-pairs={equal_pairs}")

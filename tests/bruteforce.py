@@ -155,3 +155,16 @@ def brute_diameter(simple: dict[str, frozenset[str]]) -> tuple[bool, int | None]
             return False, None
         best = max(best, max(dist.values()))
     return True, best
+
+
+def brute_umbrella(phi: FactorGraph, order: list[str]) -> tuple[str, str, str] | None:
+    """The first umbrella of a vertex order, scanning every triple: u before v
+    before w with uw an edge and uv, vw non-edges.  None when there is none."""
+    for u, v, w in combinations(order, 3):
+        if (
+            phi.multiplicity(u, w) > 0
+            and phi.multiplicity(u, v) == 0
+            and phi.multiplicity(v, w) == 0
+        ):
+            return u, v, w
+    return None

@@ -112,6 +112,20 @@ class TestExhaustive:
         assert instance_id(spec, 0) == "exhaustive-k4-i4-0"
         assert instance_id(spec, 65535) == "exhaustive-k4-i4-65535"
 
+    @pytest.mark.parametrize("index", [True, 1.0, "1"], ids=["bool", "float", "str"])
+    def test_index_must_be_int(self, index):
+        spec = CorpusSpec("exhaustive", 2, 2)
+        for call in (instance, instance_id):
+            with pytest.raises(GraphError, match=f"index must be an int, got {index!r}"):
+                call(spec, index)
+
+    @pytest.mark.parametrize("start, stop, name", [
+        (True, 3, "start"), (0, 3.0, "stop"), (0, False, "stop"),
+    ], ids=["bool-start", "float-stop", "bool-stop"])
+    def test_generate_bounds_must_be_ints(self, start, stop, name):
+        with pytest.raises(GraphError, match=f"{name} must be an int"):
+            list(generate(CorpusSpec("exhaustive", 2, 2), start, stop))
+
 
 class TestRandom:
     def test_deterministic_stream(self):

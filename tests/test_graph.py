@@ -128,6 +128,11 @@ class TestWithMasks:
         with pytest.raises(GraphError, match="of '2' lies outside K"):
             demo_graph.with_masks([1, mask, 0, 0])
 
+    @pytest.mark.parametrize("mask", [True, 1.0, "1", None], ids=["bool", "float", "str", "none"])
+    def test_non_int_mask_rejected(self, demo_graph, mask):
+        with pytest.raises(GraphError, match=f"mask {mask!r} of '3' must be an int"):
+            demo_graph.with_masks([1, 2, mask, 0])
+
 
 class TestQueries:
     def test_neighborhoods_match_bruteforce(self, demo_graph):

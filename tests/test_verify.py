@@ -1,10 +1,12 @@
 """Structural checks: enumerators, per-law verdicts, whole-instance reports."""
 
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 
+import splitfactor.verify
 from splitfactor import (
     CHECK_NAMES,
     CheckResult,
@@ -18,13 +20,15 @@ from splitfactor import (
     check_paths,
     enumerate_induced_cycles,
     enumerate_induced_paths,
+    instance,
     is_induced_cycle,
     is_induced_path,
     sweep,
     verify_all,
 )
+from splitfactor.verify import CYCLE_BOUND, DIAMETER_BOUND, _umbrella_free
 
-from bruteforce import brute_induced_cycles, brute_induced_paths
+from bruteforce import brute_induced_cycles, brute_induced_paths, brute_umbrella
 from test_graph import split_graphs
 
 
@@ -36,6 +40,41 @@ def ring(labels, m=1):
 def chain(labels, mults):
     pairs = {(labels[t], labels[t + 1]): mults[t] for t in range(len(labels) - 1)}
     return FactorGraph(labels, pairs)
+
+
+def random_multigraph(rng, n, density):
+    verts = tuple(f"v{t}" for t in range(n))
+    mult = {
+        (verts[a], verts[b]): rng.randint(1, 4)
+        for a in range(n)
+        for b in range(a + 1, n)
+        if rng.random() < density
+    }
+    return FactorGraph(verts, mult)
+
+
+def degree_order(S, phi):
+    """phi's vertices by degree in S, largest first, ties by phi's index."""
+    return sorted(phi.vertices, key=S.degree, reverse=True)
+
+
+def fake_builders(monkeypatch, phi):
+    """Make verify_all check ``phi`` in place of the factor graph of its input."""
+    for name in ("build_by_formula", "build_by_enumeration"):
+        monkeypatch.setattr(splitfactor.verify, name, lambda S: phi)
+
+
+def spy(monkeypatch, name):
+    """Record the calls verify_all makes to one of its module's functions."""
+    calls = []
+    real = getattr(splitfactor.verify, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(splitfactor.verify, name, counted)
+    return calls
 
 
 class TestEnumerators:
@@ -82,14 +121,7 @@ class TestEnumerators:
         rng = random.Random(4096)
         for _ in range(200):
             n = rng.randint(2, 6)
-            verts = tuple(f"v{t}" for t in range(n))
-            mult = {
-                (verts[a], verts[b]): rng.randint(1, 4)
-                for a in range(n)
-                for b in range(a + 1, n)
-                if rng.random() < 0.4
-            }
-            phi = FactorGraph(verts, mult)
+            phi = random_multigraph(rng, n, 0.4)
             got_paths = set(enumerate_induced_paths(phi))
             got_cycles = set(enumerate_induced_cycles(phi))
             assert got_paths == brute_induced_paths(phi, n)
@@ -241,6 +273,17 @@ class TestFabricatedFailures:
          (2, 1, 2), "path a b c d; simple middle edge, peak degrees"),
         ("p4-no-simple-middle", {"a": "x", "b": "xy", "c": "y", "d": "xyz"},
          (2, 1, 2), "path a b c d; simple middle edge, ascending degrees"),
+        ("union-sqrt-bound", {"a": "xy", "b": "x"},
+         (1,), "path a b; degenerate divisor (internal inconsistency)"),
+        # single edges whose tail has the larger degree are named head first
+        ("first-edge-divisible-by-union-excess", {"a": "xy", "b": "zwv"},
+         (3,), "path b a; union excess 2 does not divide first multiplicity 3"),
+        ("first-edge-divisible-by-union-excess", {"a": "x", "b": "xy"},
+         (1,), "path b a; degenerate divisor (internal inconsistency)"),
+        ("first-edge-divisible-by-clique-excess", {"a": "xy", "b": "zwv"},
+         (3,), "path b a; clique excess 2 does not divide first multiplicity 3"),
+        ("union-sqrt-bound", {"a": "xy", "b": "zwv"},
+         (3,), "path b a; union excess 2 exceeds sqrt of first multiplicity 3"),
     ]
 
     @pytest.mark.parametrize("law, neighborhoods, mults, witness", PINNED_WITNESSES)
@@ -252,6 +295,24 @@ class TestFabricatedFailures:
         fake = chain(labels, mults)
         results = [*check_paths(S, fake, [labels]), *check_paths(S, fake)]
         assert CheckResult(law, False, witness) in results
+
+    # On the chain a b c the induced paths come in the order a b, a b c, b c,
+    # and a law keeps the witness of the first path that fails it.
+    @pytest.mark.parametrize("neighborhoods, mults, witness", [
+        ({"a": "x", "b": "yz", "c": "xw"}, (1, 3),
+         "path c b a; union excess 2 does not divide first multiplicity 3"),
+        ({"a": "yz", "b": "xw", "c": "x"}, (1, 3),
+         "path a b; union excess 2 does not divide first multiplicity 1"),
+    ], ids=["p3-before-p2", "p2-before-p3"])
+    def test_first_failure_in_enumeration_order(self, monkeypatch, neighborhoods, mults, witness):
+        S = SplitGraph.from_neighborhoods(
+            sorted(set("".join(neighborhoods.values()))), neighborhoods
+        )
+        fake = chain(("a", "b", "c"), mults)
+        expected = CheckResult("first-edge-divisible-by-union-excess", False, witness)
+        assert expected in check_paths(S, fake)
+        fake_builders(monkeypatch, fake)
+        assert expected in verify_all(S).checks
 
 
 class TestCheckResultFormatting:
@@ -321,6 +382,92 @@ class TestVerifyAll:
     @given(split_graphs(k_max=5, i_max=5))
     def test_all_checks_hold_property(self, S):
         assert verify_all(S).ok
+
+
+class TestCertificates:
+    """verify_all decides the cycle law by an umbrella-free degree order and the
+    diameter law by connectivity, falling back to the public checks."""
+
+    CYCLE = CHECK_NAMES.index(CYCLE_BOUND)
+
+    def test_umbrella_check_matches_bruteforce(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            phi = random_multigraph(rng, rng.randint(0, 7), rng.random())
+            order = list(phi.vertices)
+            rng.shuffle(order)
+            found = _umbrella_free(phi.neighbor_masks(), [phi.index_of(v) for v in order])
+            assert found == (brute_umbrella(phi, order) is None)
+            if found:
+                assert all(len(c) <= 4 for c in brute_induced_cycles(phi))
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_long_rings_have_umbrellas_in_every_order(self, n):
+        phi = ring(tuple("abcdef"[:n]))
+        for order in permutations(range(n)):
+            assert not _umbrella_free(phi.neighbor_masks(), order)
+
+    @settings(max_examples=80, deadline=None)
+    @given(split_graphs(k_max=5, i_max=6))
+    def test_degree_order_is_umbrella_free_property(self, S):
+        phi = build_by_formula(S)
+        assert brute_umbrella(phi, degree_order(S, phi)) is None
+
+    @pytest.mark.parametrize("spec, step", [
+        (CorpusSpec("exhaustive", 3, 3), 1),
+        (CorpusSpec("exhaustive", 4, 4), 13),
+    ], ids=["exhaustive-3x3", "exhaustive-4x4-stride-13"])
+    def test_certified_results_match_checks(self, spec, step, monkeypatch):
+        fallbacks = spy(monkeypatch, "check_cycle_bound")
+        for index in range(0, 1 << (spec.k_max * spec.i_max), step):
+            S = instance(spec, index)
+            phi = build_by_formula(S)
+            checks = verify_all(S).checks
+            assert checks[self.CYCLE] == check_cycle_bound(phi)
+            assert checks[-1] == check_diameter_bound(S, phi)
+        # the degree order of phi(S) never has an umbrella
+        assert fallbacks == []
+
+    def test_certified_instance_skips_both_checks(self, demo_graph, monkeypatch):
+        # size 5 gives bound 3, and |I| - 1 = 3
+        cycle_calls = spy(monkeypatch, "check_cycle_bound")
+        diameter_calls = spy(monkeypatch, "check_diameter_bound")
+        assert verify_all(demo_graph).ok
+        assert cycle_calls == [] and diameter_calls == []
+
+    def test_five_ring_fails_through_fallback(self, monkeypatch):
+        S = SplitGraph.from_neighborhoods(["x"], {v: {"x"} for v in "abcde"})
+        fake_builders(monkeypatch, ring(("a", "b", "c", "d", "e")))
+        calls = spy(monkeypatch, "check_cycle_bound")
+        result = verify_all(S).checks[self.CYCLE]
+        assert result == CheckResult(CYCLE_BOUND, False, "cycle a b c d e; length 5")
+        assert len(calls) == 1
+
+    def test_umbrella_without_long_cycle_passes_through_fallback(self, monkeypatch):
+        # degrees a 4, d 3, b 2, c 1; with a-b an edge and d adjacent to neither,
+        # a d b is an umbrella of the degree order
+        S = SplitGraph.from_neighborhoods(
+            ["w", "x", "y", "z"], {"a": set("wxyz"), "b": set("wx"), "c": {"w"}, "d": set("wxy")}
+        )
+        fake = chain(("a", "b", "c", "d"), (2, 2, 2))
+        assert brute_umbrella(fake, degree_order(S, fake)) == ("a", "d", "b")
+        fake_builders(monkeypatch, fake)
+        calls = spy(monkeypatch, "check_cycle_bound")
+        assert verify_all(S).checks[self.CYCLE] == CheckResult(CYCLE_BOUND, True)
+        assert len(calls) == 1
+
+    def test_diameter_over_bound_keeps_witness(self, demo_graph, monkeypatch):
+        fake_builders(monkeypatch, chain(("1", "2", "3", "4"), (1, 1, 1)))
+        result = verify_all(demo_graph).checks[-1]
+        assert result == CheckResult(DIAMETER_BOUND, False, "diameter 3 exceeds bound 2")
+
+    def test_diameter_fallback_passes_within_bound(self, demo_graph, monkeypatch):
+        # a star of three simple edges: bound 2 < |I| - 1 = 3, but diameter 2
+        star = FactorGraph(("1", "2", "3", "4"), {("1", "2"): 1, ("1", "3"): 1, ("1", "4"): 1})
+        fake_builders(monkeypatch, star)
+        calls = spy(monkeypatch, "check_diameter_bound")
+        assert verify_all(demo_graph).checks[-1] == CheckResult(DIAMETER_BOUND, True)
+        assert len(calls) == 1
 
 
 class TestSweep:
