@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .factor import FactorGraph, build_by_formula
 from .graph import GraphError, SplitGraph
 from .switches import enumerate_two_switches
-from .verify import CheckResult
+from .verify import CheckResult, enumerate_induced_paths
 
 EXTREMAL_DEGREE = "extremal-switch-degree"
 EXTREMAL_PATH = "extremal-path-shape"
@@ -86,31 +86,6 @@ def build_extremal(n: int) -> ExtremalInstance:
     return ExtremalInstance(n, graph, expected)
 
 
-def _trace_path(phi: FactorGraph) -> list[str] | None:
-    """Vertex order of phi's simple view if it is a path, else None."""
-    simple = phi.underlying_simple()
-    n = len(phi.vertices)
-    if n < 2:
-        return None
-    degs = {v: len(ws) for v, ws in simple.items()}
-    ends = sorted(v for v, d in degs.items() if d == 1)
-    if len(ends) != 2 or any(d > 2 or d == 0 for d in degs.values()):
-        return None
-    if phi.simple_edge_count() != n - 1:
-        return None
-    order = [ends[0]]
-    prev = None
-    while len(order) < n:
-        nxt = [w for w in simple[order[-1]] if w != prev]
-        if len(nxt) != 1:
-            return None
-        prev = order[-1]
-        order.append(nxt[0])
-    if order[-1] != ends[1]:
-        return None
-    return order
-
-
 def verify_extremal(inst: ExtremalInstance) -> list[CheckResult]:
     """Recompute the factor graph and check every promised property."""
     n = inst.n
@@ -128,7 +103,8 @@ def verify_extremal(inst: ExtremalInstance) -> list[CheckResult]:
         )
     )
 
-    order = _trace_path(phi)
+    # an induced path through every vertex is the whole simple view
+    order = next((p for p in enumerate_induced_paths(phi) if len(p) == len(phi.vertices)), None)
     shape_ok = order is not None and len(order) == length + 1
     results.append(
         CheckResult(

@@ -147,25 +147,28 @@ class FactorGraph:
 
     # -- metrics ---------------------------------------------------------------
 
+    def reach(self, source: int) -> tuple[int, int]:
+        """Breadth-first search from vertex index ``source`` of the simple view:
+        the mask of the vertices reached and the source's eccentricity among them."""
+        nbr = self._nbr_masks
+        seen = frontier = 1 << source
+        dist = -1
+        while frontier:
+            dist += 1
+            nxt = 0
+            for w in bits(frontier):
+                nxt |= nbr[w]
+            frontier = nxt & ~seen
+            seen |= frontier
+        return seen, dist
+
     def diameter(self) -> DiameterSummary:
         n = len(self.vertices)
         if n == 0:
             return DiameterSummary(connected=True, value=0, component_diameters=(), empty=True)
-        nbr = self._nbr_masks
         comps: dict[int, int] = {}  # a BFS's reach is its component; discovery order
         for v in range(n):
-            seen = 1 << v
-            frontier = seen
-            dist = 0
-            while True:
-                nxt = 0
-                for w in bits(frontier):
-                    nxt |= nbr[w]
-                frontier = nxt & ~seen
-                if not frontier:
-                    break
-                seen |= frontier
-                dist += 1
+            seen, dist = self.reach(v)
             comps[seen] = max(comps.get(seen, 0), dist)
         per_comp = tuple(comps.values())
         if len(per_comp) == 1:

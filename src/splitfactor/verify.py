@@ -52,10 +52,11 @@ The laws, by check name:
 - ``diameter-bound``: a connected phi has diameter at most
   ceil((size + 1) / 2); disconnected instances pass with a note.
 
-``verify_all`` decides the cycle and diameter laws by certificate where one
-exists (an umbrella-free degree order; a connected phi with |I| - 1 within
-the bound) and falls back to ``check_cycle_bound`` and
-``check_diameter_bound`` otherwise, so its results equal theirs.
+The two whole-graph laws have one check each, ``check_cycle_bound`` and
+``check_diameter_bound``, which decide by certificate where one exists (an
+umbrella-free degree order; a connected phi with |I| - 1 within the bound)
+and search for a witness only otherwise.  ``verify_all`` calls them as they
+are.
 """
 
 from __future__ import annotations
@@ -217,11 +218,33 @@ def _induced_cycle_indices(nbr: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
+def _umbrella_free(nbr: Sequence[int], order: Sequence[int]) -> bool:
+    """Whether ``order``, a permutation of the vertex indices of the simple
+    graph with adjacency masks ``nbr``, has no umbrella: u before v before w
+    with uw an edge and uv, vw non-edges.
+
+    An umbrella-free order transitively orients the complement, so the graph
+    is a cocomparability graph and has no induced cycle on 5 or more
+    vertices (Golumbic, Monma and Trotter, "Tolerance graphs", 1984).
+    """
+    later = (1 << len(nbr)) - 1
+    earlier = 0
+    for v in order:
+        later ^= 1 << v
+        far = later & ~nbr[v]
+        if far:
+            for u in bits(earlier & ~nbr[v]):
+                if nbr[u] & far:
+                    return False
+        earlier |= 1 << v
+    return True
+
+
 def _path_cap(n: int, max_len: int | None) -> int:
     if max_len is None:
         return n
-    if max_len < 2:
-        raise GraphError(f"max_len must be at least 2, got {max_len}")
+    if type(max_len) is not int or max_len < 2:  # exact type: bool is an int subclass
+        raise GraphError(f"max_len must be an int of at least 2, got {max_len!r}")
     return min(max_len, n)
 
 
@@ -254,6 +277,11 @@ def enumerate_induced_cycles(phi: FactorGraph) -> list[tuple[str, ...]]:
 # -- check context ------------------------------------------------------------------
 
 
+def _require_independent_set(S: SplitGraph, phi: FactorGraph) -> None:
+    if set(phi.vertices) != set(S.independent):
+        raise GraphError("factor graph vertices do not match the independent set")
+
+
 class _Context:
     """Index-level view of one (S, phi) instance, built once per verification.
 
@@ -265,8 +293,7 @@ class _Context:
     __slots__ = ("labels", "n", "deg", "nmask", "mult", "nbr", "k_size", "clique_law", "failed")
 
     def __init__(self, S: SplitGraph, phi: FactorGraph):
-        if set(phi.vertices) != set(S.independent):
-            raise GraphError("factor graph vertices do not match the independent set")
+        _require_independent_set(S, phi)
         self.labels = phi.vertices
         self.n = len(self.labels)
         self.deg = [S.degree(v) for v in self.labels]
@@ -488,9 +515,22 @@ def check_paths(
     return _check_paths(S, phi, paths).results(_PATH_LAWS)
 
 
-def check_cycle_bound(phi: FactorGraph) -> CheckResult:
-    """Every induced cycle has length 3 or 4."""
-    for seq in _induced_cycle_indices(phi.neighbor_masks()):
+def check_cycle_bound(S: SplitGraph, phi: FactorGraph | None = None) -> CheckResult:
+    """Every induced cycle of phi, by default the formula factor graph of S,
+    has length 3 or 4.
+
+    Cycles are enumerated only when I, ordered by degree in S (largest
+    first, ties by index), has an umbrella.  On phi(S) it never has one:
+    multiplicity 0 means nested neighborhoods, so non-edges u-v, v-w down
+    the order nest N_w in N_u and make u-w a non-edge too.
+    """
+    phi = build_by_formula(S) if phi is None else phi
+    _require_independent_set(S, phi)
+    nbr = phi.neighbor_masks()
+    deg = [S.degree(v) for v in phi.vertices]
+    if _umbrella_free(nbr, sorted(range(len(deg)), key=deg.__getitem__, reverse=True)):
+        return CheckResult(CYCLE_BOUND, True)
+    for seq in _induced_cycle_indices(nbr):
         if len(seq) > 4:
             labels = " ".join(phi.vertices[i] for i in seq)
             return CheckResult(CYCLE_BOUND, False, f"cycle {labels}; length {len(seq)}")
@@ -498,55 +538,22 @@ def check_cycle_bound(phi: FactorGraph) -> CheckResult:
 
 
 def check_diameter_bound(S: SplitGraph, phi: FactorGraph | None = None) -> CheckResult:
-    """Connected factor graphs have diameter <= ceil((size + 1) / 2)."""
+    """A connected phi, by default the formula factor graph of S, has
+    diameter <= ceil((size + 1) / 2).
+
+    One search decides connectivity.  All-pairs BFS runs only when |I| - 1,
+    which bounds the diameter, exceeds the bound.
+    """
     phi = build_by_formula(S) if phi is None else phi
-    summary = phi.diameter()
-    if summary.empty:
+    n = len(phi.vertices)
+    if n == 0:
         return CheckResult(DIAMETER_BOUND, True, note="empty factor graph")
-    if not summary.connected:
+    if phi.reach(0)[0] != (1 << n) - 1:
         return CheckResult(DIAMETER_BOUND, True, note="not applicable: disconnected")
     bound = (phi.size() + 2) // 2
-    if summary.value <= bound:
+    if n - 1 <= bound or (value := phi.diameter().value) <= bound:
         return CheckResult(DIAMETER_BOUND, True)
-    return CheckResult(
-        DIAMETER_BOUND, False, f"diameter {summary.value} exceeds bound {bound}"
-    )
-
-
-def _umbrella_free(nbr: Sequence[int], order: Sequence[int]) -> bool:
-    """Whether ``order``, a permutation of the vertex indices of the simple
-    graph with adjacency masks ``nbr``, has no umbrella: u before v before w
-    with uw an edge and uv, vw non-edges.
-
-    An umbrella-free order transitively orients the complement, so the graph
-    is a cocomparability graph and has no induced cycle on 5 or more
-    vertices (Golumbic, Monma and Trotter, "Tolerance graphs", 1984).
-    """
-    later = (1 << len(nbr)) - 1
-    earlier = 0
-    for v in order:
-        later ^= 1 << v
-        far = later & ~nbr[v]
-        if far:
-            for u in bits(earlier & ~nbr[v]):
-                if nbr[u] & far:
-                    return False
-        earlier |= 1 << v
-    return True
-
-
-def _connected(nbr: Sequence[int]) -> bool:
-    """Whether the simple graph with adjacency masks ``nbr`` is connected and non-empty."""
-    if not nbr:
-        return False
-    seen = frontier = 1
-    while frontier:
-        reach = 0
-        for w in bits(frontier):
-            reach |= nbr[w]
-        frontier = reach & ~seen
-        seen |= frontier
-    return seen == (1 << len(nbr)) - 1
+    return CheckResult(DIAMETER_BOUND, False, f"diameter {value} exceeds bound {bound}")
 
 
 def verify_all(
@@ -556,19 +563,9 @@ def verify_all(
 
     Builds the factor graph both ways, checks the builder and size
     identities, the pairwise laws, then every path law over the full
-    induced-path enumeration (capped at ``max_len`` vertices when given).
-
-    The cycle and diameter laws are decided by certificate when one exists,
-    and otherwise by ``check_cycle_bound`` and ``check_diameter_bound``, so
-    every result equals theirs:
-
-    - ``cycle-length-bound`` passes without enumerating cycles when I,
-      ordered by degree (largest first, ties by index), has no umbrella.
-      On phi(S) it never has one: multiplicity 0 means nested
-      neighborhoods, so two non-edges u-v, v-w down the order nest N_w in
-      N_u and make u-w a non-edge too.
-    - ``diameter-bound`` passes after one connectivity search when phi is
-      connected and |I| - 1, which bounds its diameter, is within the bound.
+    induced-path enumeration (capped at ``max_len`` vertices when given),
+    and last the whole-graph laws through ``check_cycle_bound`` and
+    ``check_diameter_bound``.
     """
     if instance is None:
         instance = f"splitgraph-k{S.k_size}-i{len(S.independent)}-e{S.edge_count()}"
@@ -583,14 +580,9 @@ def verify_all(
         ctx.failed[SIZE_DEGREE] = f"size {size} != switch degree {phi_enum.size()}"
     equal_pairs = _check_pairs(ctx)
 
-    checks = ctx.results(CHECK_NAMES[:-1])  # cycle-length-bound reads PASS here
-    by_degree = sorted(range(ctx.n), key=ctx.deg.__getitem__, reverse=True)  # ties keep index order
-    if not _umbrella_free(ctx.nbr, by_degree):
-        checks[CHECK_NAMES.index(CYCLE_BOUND)] = check_cycle_bound(phi)
-    if _connected(ctx.nbr) and ctx.n - 1 <= (size + 2) // 2:
-        checks.append(CheckResult(DIAMETER_BOUND, True))
-    else:
-        checks.append(check_diameter_bound(S, phi))
+    cycle = CHECK_NAMES.index(CYCLE_BOUND)
+    checks = ctx.results(CHECK_NAMES[:cycle]) + [check_cycle_bound(S, phi)]
+    checks += ctx.results(CHECK_NAMES[cycle + 1:-1]) + [check_diameter_bound(S, phi)]
     if equal_pairs:
         nesting = CHECK_NAMES.index(NESTING_IFF)
         checks[nesting] = replace(checks[nesting], note=f"neighborhood-equal-pairs={equal_pairs}")

@@ -139,6 +139,14 @@ class TestDiameter:
         assert not summary.connected and summary.value is None
         assert summary.component_diameters == (1, 1)
 
+    def test_reach_from_one_vertex(self, demo_graph):
+        path = build_by_formula(demo_graph)
+        assert path.reach(0) == (0b1111, 3)
+        assert path.reach(1) == (0b1111, 2)
+        split = FactorGraph(("a", "b", "c", "d"), {("a", "b"): 1, ("c", "d"): 9})
+        assert split.reach(2) == (0b1100, 1)
+        assert FactorGraph(("a",), {}).reach(0) == (1, 0)
+
     def test_matches_bruteforce_on_random_multigraphs(self):
         rng = random.Random(1337)
         for _ in range(300):

@@ -229,6 +229,20 @@ def _random_edge_set(n, rng):
     return verts, edges
 
 
+def _random_split_edge_set(n, rng):
+    """A split graph on n shuffled labels: a clique of random size, and each
+    other vertex joined to a random subset of it."""
+    verts = [chr(ord("a") + t) for t in range(n)]
+    rng.shuffle(verts)
+    k = rng.randint(0, n)
+    clique, independent = verts[:k], verts[k:]
+    edges = {frozenset(pair) for pair in combinations(clique, 2)}
+    for v in independent:
+        density = rng.random()
+        edges |= {frozenset({v, x}) for x in clique if rng.random() < density}
+    return verts, edges
+
+
 def _assert_recognition_agrees(verts, edges):
     """recognize_split against the exhaustive bipartition oracle."""
     partitions = brute_split_partitions(verts, edges)
@@ -265,6 +279,15 @@ class TestRecognition:
             n = rng.randint(6, 8)
             verts, edges = _random_edge_set(n, rng)
             _assert_recognition_agrees(verts, edges)
+
+    def test_random_larger_split_graphs_and_one_edge_flips(self):
+        rng = random.Random(9011)
+        for _ in range(120):
+            verts, edges = _random_split_edge_set(rng.randint(9, 11), rng)
+            assert recognize_split([tuple(e) for e in edges], verts) is not None
+            _assert_recognition_agrees(verts, edges)
+            flipped = frozenset(rng.sample(verts, 2))
+            _assert_recognition_agrees(verts, edges ^ {flipped})
 
     def test_five_cycle_is_not_split(self):
         cycle = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")]

@@ -28,8 +28,13 @@ from splitfactor import (
 )
 from splitfactor.verify import CYCLE_BOUND, DIAMETER_BOUND, _umbrella_free
 
-from bruteforce import brute_induced_cycles, brute_induced_paths, brute_umbrella
+from bruteforce import brute_diameter, brute_induced_cycles, brute_induced_paths, brute_umbrella
 from test_graph import split_graphs
+
+
+def one_clique_vertex(labels):
+    """A split graph whose independent set is ``labels``, all of degree 1."""
+    return SplitGraph.from_neighborhoods(["x"], {v: {"x"} for v in labels})
 
 
 def ring(labels, m=1):
@@ -64,17 +69,25 @@ def fake_builders(monkeypatch, phi):
         monkeypatch.setattr(splitfactor.verify, name, lambda S: phi)
 
 
-def spy(monkeypatch, name):
-    """Record the calls verify_all makes to one of its module's functions."""
+def spy(monkeypatch, owner, name):
+    """Record the calls made to ``owner.name``, a module function or a method."""
     calls = []
-    real = getattr(splitfactor.verify, name)
+    real = getattr(owner, name)
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(splitfactor.verify, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def spy_searches(monkeypatch):
+    """Spy on the two witness searches: induced-cycle enumeration and all-pairs BFS."""
+    return (
+        spy(monkeypatch, splitfactor.verify, "_induced_cycle_indices"),
+        spy(monkeypatch, FactorGraph, "diameter"),
+    )
 
 
 class TestEnumerators:
@@ -98,6 +111,15 @@ class TestEnumerators:
         assert len(enumerate_induced_paths(phi, max_len=2)) == 3
         with pytest.raises(GraphError, match="max_len"):
             enumerate_induced_paths(phi, max_len=1)
+
+    @pytest.mark.parametrize("max_len", [2.5, 3.0, "3", True])
+    @pytest.mark.parametrize("run", [
+        lambda S, max_len: enumerate_induced_paths(build_by_formula(S), max_len=max_len),
+        lambda S, max_len: verify_all(S, max_len=max_len),
+    ], ids=["enumerate_induced_paths", "verify_all"])
+    def test_max_len_must_be_an_int(self, demo_graph, run, max_len):
+        with pytest.raises(GraphError, match="max_len must be an int"):
+            run(demo_graph, max_len)
 
     def test_tiny_vertex_sets(self):
         assert enumerate_induced_paths(FactorGraph((), {})) == []
@@ -202,18 +224,25 @@ class TestFabricatedFailures:
     witnesses, not exceptions; this exercises the reporting machinery."""
 
     def test_cycle_bound_failure(self):
-        result = check_cycle_bound(ring(("a", "b", "c", "d", "e")))
+        labels = ("a", "b", "c", "d", "e")
+        result = check_cycle_bound(one_clique_vertex(labels), ring(labels))
         assert not result.passed
         assert result.witness == "cycle a b c d e; length 5"
         assert result.line() == (
             "CHECK cycle-length-bound FAIL cycle a b c d e; length 5"
         )
-        longer = check_cycle_bound(ring(("a", "b", "c", "d", "e", "f")))
+        labels += ("f",)
+        longer = check_cycle_bound(one_clique_vertex(labels), ring(labels))
         assert not longer.passed and "length 6" in longer.witness
 
     def test_cycle_bound_allows_short_cycles(self):
-        assert check_cycle_bound(ring(("a", "b", "c"))).passed
-        assert check_cycle_bound(ring(("a", "b", "c", "d"), m=3)).passed
+        for labels, m in ((("a", "b", "c"), 1), (("a", "b", "c", "d"), 3)):
+            assert check_cycle_bound(one_clique_vertex(labels), ring(labels, m)).passed
+
+    def test_cycle_bound_rejects_mismatched_factor_graph(self, demo_graph):
+        wrong = FactorGraph(("1", "2"), {("1", "2"): 1})
+        with pytest.raises(GraphError, match="do not match the independent set"):
+            check_cycle_bound(demo_graph, wrong)
 
     def test_interior_simple_edge_failure(self, demo_graph):
         fake = chain(("1", "2", "3", "4"), (2, 1, 2))
@@ -385,8 +414,9 @@ class TestVerifyAll:
 
 
 class TestCertificates:
-    """verify_all decides the cycle law by an umbrella-free degree order and the
-    diameter law by connectivity, falling back to the public checks."""
+    """check_cycle_bound decides by an umbrella-free degree order and
+    check_diameter_bound by one connectivity search; each searches for a
+    witness only when its certificate is missing."""
 
     CYCLE = CHECK_NAMES.index(CYCLE_BOUND)
 
@@ -417,33 +447,52 @@ class TestCertificates:
         (CorpusSpec("exhaustive", 3, 3), 1),
         (CorpusSpec("exhaustive", 4, 4), 13),
     ], ids=["exhaustive-3x3", "exhaustive-4x4-stride-13"])
-    def test_certified_results_match_checks(self, spec, step, monkeypatch):
-        fallbacks = spy(monkeypatch, "check_cycle_bound")
+    def test_results_match_oracles_without_cycle_enumeration(self, spec, step, monkeypatch):
+        enumerations, _ = spy_searches(monkeypatch)
         for index in range(0, 1 << (spec.k_max * spec.i_max), step):
             S = instance(spec, index)
             phi = build_by_formula(S)
             checks = verify_all(S).checks
-            assert checks[self.CYCLE] == check_cycle_bound(phi)
-            assert checks[-1] == check_diameter_bound(S, phi)
+            assert all(len(c) <= 4 for c in brute_induced_cycles(phi))
+            assert checks[self.CYCLE] == CheckResult(CYCLE_BOUND, True)
+            connected, value = brute_diameter(phi.underlying_simple())
+            if not phi.vertices:
+                expected = CheckResult(DIAMETER_BOUND, True, note="empty factor graph")
+            elif not connected:
+                expected = CheckResult(DIAMETER_BOUND, True, note="not applicable: disconnected")
+            else:
+                assert value <= (phi.size() + 2) // 2
+                expected = CheckResult(DIAMETER_BOUND, True)
+            assert checks[-1] == expected
         # the degree order of phi(S) never has an umbrella
-        assert fallbacks == []
+        assert enumerations == []
 
-    def test_certified_instance_skips_both_checks(self, demo_graph, monkeypatch):
+    def test_certified_instance_runs_no_search(self, demo_graph, monkeypatch):
         # size 5 gives bound 3, and |I| - 1 = 3
-        cycle_calls = spy(monkeypatch, "check_cycle_bound")
-        diameter_calls = spy(monkeypatch, "check_diameter_bound")
+        enumerations, bfs = spy_searches(monkeypatch)
         assert verify_all(demo_graph).ok
-        assert cycle_calls == [] and diameter_calls == []
+        assert check_cycle_bound(demo_graph).passed
+        assert check_diameter_bound(demo_graph).passed
+        assert enumerations == [] and bfs == []
 
-    def test_five_ring_fails_through_fallback(self, monkeypatch):
-        S = SplitGraph.from_neighborhoods(["x"], {v: {"x"} for v in "abcde"})
-        fake_builders(monkeypatch, ring(("a", "b", "c", "d", "e")))
-        calls = spy(monkeypatch, "check_cycle_bound")
-        result = verify_all(S).checks[self.CYCLE]
+    @pytest.mark.parametrize("S, phi", [
+        (SplitGraph(["x", "y"], []), FactorGraph((), {})),
+        (one_clique_vertex("abcd"), FactorGraph("abcd", {("a", "b"): 1, ("c", "d"): 1})),
+    ], ids=["empty", "disconnected"])
+    def test_diameter_bound_skips_bfs_without_connected_phi(self, S, phi, monkeypatch):
+        _, bfs = spy_searches(monkeypatch)
+        assert check_diameter_bound(S, phi).passed
+        assert bfs == []
+
+    def test_five_ring_fails_by_enumeration(self, monkeypatch):
+        labels = ("a", "b", "c", "d", "e")
+        fake_builders(monkeypatch, ring(labels))
+        enumerations, _ = spy_searches(monkeypatch)
+        result = verify_all(one_clique_vertex(labels)).checks[self.CYCLE]
         assert result == CheckResult(CYCLE_BOUND, False, "cycle a b c d e; length 5")
-        assert len(calls) == 1
+        assert len(enumerations) == 1
 
-    def test_umbrella_without_long_cycle_passes_through_fallback(self, monkeypatch):
+    def test_umbrella_without_long_cycle_passes_by_enumeration(self, monkeypatch):
         # degrees a 4, d 3, b 2, c 1; with a-b an edge and d adjacent to neither,
         # a d b is an umbrella of the degree order
         S = SplitGraph.from_neighborhoods(
@@ -451,23 +500,21 @@ class TestCertificates:
         )
         fake = chain(("a", "b", "c", "d"), (2, 2, 2))
         assert brute_umbrella(fake, degree_order(S, fake)) == ("a", "d", "b")
-        fake_builders(monkeypatch, fake)
-        calls = spy(monkeypatch, "check_cycle_bound")
-        assert verify_all(S).checks[self.CYCLE] == CheckResult(CYCLE_BOUND, True)
-        assert len(calls) == 1
+        enumerations, _ = spy_searches(monkeypatch)
+        assert check_cycle_bound(S, fake) == CheckResult(CYCLE_BOUND, True)
+        assert len(enumerations) == 1
 
     def test_diameter_over_bound_keeps_witness(self, demo_graph, monkeypatch):
         fake_builders(monkeypatch, chain(("1", "2", "3", "4"), (1, 1, 1)))
         result = verify_all(demo_graph).checks[-1]
         assert result == CheckResult(DIAMETER_BOUND, False, "diameter 3 exceeds bound 2")
 
-    def test_diameter_fallback_passes_within_bound(self, demo_graph, monkeypatch):
+    def test_diameter_passes_within_bound_by_bfs(self, demo_graph, monkeypatch):
         # a star of three simple edges: bound 2 < |I| - 1 = 3, but diameter 2
         star = FactorGraph(("1", "2", "3", "4"), {("1", "2"): 1, ("1", "3"): 1, ("1", "4"): 1})
-        fake_builders(monkeypatch, star)
-        calls = spy(monkeypatch, "check_diameter_bound")
-        assert verify_all(demo_graph).checks[-1] == CheckResult(DIAMETER_BOUND, True)
-        assert len(calls) == 1
+        _, bfs = spy_searches(monkeypatch)
+        assert check_diameter_bound(demo_graph, star) == CheckResult(DIAMETER_BOUND, True)
+        assert len(bfs) == 1
 
 
 class TestSweep:
