@@ -168,3 +168,140 @@ def brute_umbrella(phi: FactorGraph, order: list[str]) -> tuple[str, str, str] |
         ):
             return u, v, w
     return None
+
+
+PATH_LAW_NAMES = (
+    "path-max-at-ends",
+    "path-inclusion-chain",
+    "path-union-collapse",
+    "path-parity-monotone",
+    "path-min-at-tail",
+    "p5-max-not-middle",
+    "first-edge-divisible-by-union-excess",
+    "first-edge-divisible-by-clique-excess",
+    "union-sqrt-bound",
+    "simple-edges-terminal",
+    "p4-no-simple-middle",
+    "p3-pendant-difference",
+    "p3-tail-decomposition",
+    "p3-first-multiplicity",
+)
+
+
+def brute_path_laws(
+    S: SplitGraph, phi: FactorGraph, paths: list[tuple[str, ...]]
+) -> dict[str, str]:
+    """The witness of each per-path law's first failure over ``paths``, in
+    their order; a law that never fails is absent.
+
+    Every law is written out on label lists and neighbourhood sets, each
+    list scan in full, and every law is evaluated on every path whatever
+    its length.
+    """
+    verts = phi.vertices
+    N = {v: frozenset(brute_neighborhood(S, v)) for v in verts}
+    deg = {v: len(N[v]) for v in verts}
+    union_all = frozenset().union(*N.values())
+    simple_edges = sum(1 for a, b in combinations(verts, 2) if phi.multiplicity(a, b) > 0)
+    # phi is a path over all of I and K is the union of the I-neighbourhoods
+    clique_law = union_all == frozenset(S.clique) and simple_edges == len(verts) - 1
+    failed: dict[str, str] = {}
+
+    def fail(law, seq, detail):
+        failed.setdefault(law, f"path {' '.join(seq)}; {detail}")
+
+    def first_edge(seq, union):
+        excess = len(union) - deg[seq[0]]
+        first = phi.multiplicity(seq[0], seq[1])
+        if excess == 0:
+            fail("first-edge-divisible-by-union-excess", seq,
+                 "degenerate divisor (internal inconsistency)")
+            fail("union-sqrt-bound", seq, "degenerate divisor (internal inconsistency)")
+        else:
+            if first % excess:
+                fail("first-edge-divisible-by-union-excess", seq,
+                     f"union excess {excess} does not divide first multiplicity {first}")
+            if excess * excess > first:
+                fail("union-sqrt-bound", seq,
+                     f"union excess {excess} exceeds sqrt of first multiplicity {first}")
+        if clique_law and len(seq) == len(verts):
+            clique_excess = len(S.clique) - deg[seq[0]]
+            if clique_excess == 0:
+                fail("first-edge-divisible-by-clique-excess", seq,
+                     "degenerate divisor (internal inconsistency)")
+            elif first % clique_excess:
+                fail("first-edge-divisible-by-clique-excess", seq,
+                     f"clique excess {clique_excess} does not divide first multiplicity {first}")
+
+    def oriented(seq):
+        n = len(seq)
+        d = [deg[v] for v in seq]
+        Ns = [N[v] for v in seq]
+        for i in range(n - 2):
+            bad = [j for j in range(i + 2, n) if d[i] < d[j] or not Ns[j] <= Ns[i]]
+            if bad:
+                fail("path-inclusion-chain", seq, f"positions {i + 1} vs {bad[0] + 1}")
+                break
+        for i in range(n - 2):
+            later = frozenset().union(*Ns[i + 2:])
+            if not later <= Ns[i]:
+                fail("path-union-collapse", seq, f"position {i + 1} misses later neighbors")
+                break
+        for t in range(n - 2):
+            if d[t] < d[t + 2]:
+                fail("path-parity-monotone", seq, f"positions {t + 1} vs {t + 3}")
+                break
+        if min(d) != min(d[-2], d[-1]):
+            fail("path-min-at-tail", seq, "minimum not within last two positions")
+        first_edge(seq, frozenset().union(*Ns))
+
+    for p in paths:
+        n = len(p)
+        if n == 2:
+            a, b = p
+            first_edge(p if deg[a] >= deg[b] else (b, a), N[a] | N[b])
+            continue
+        d = [deg[v] for v in p]
+        top = max(d)
+        if top not in (d[0], d[1], d[-2], d[-1]):
+            fail("path-max-at-ends", p, f"max degree {top} only at interior positions")
+        if d[0] == top:
+            oriented(p)
+        if d[-1] == top:
+            oriented(p[::-1])
+        if n == 5 and d[2] == top:
+            fail("p5-max-not-middle", p, "middle degree equals the maximum")
+        for t in range(1, n - 2):
+            if phi.multiplicity(p[t], p[t + 1]) == 1:
+                fail("simple-edges-terminal", p, f"interior edge {t + 1} has multiplicity 1")
+                break
+        if n == 4 and phi.multiplicity(p[1], p[2]) == 1:
+            for seq in (p, p[::-1]):
+                d1, d2, d4 = deg[seq[0]], deg[seq[1]], deg[seq[3]]
+                if d1 <= d2 >= d4:
+                    pattern = "peak"
+                elif d1 >= d2 <= d4:
+                    pattern = "valley"
+                elif d1 <= d2 <= d4:
+                    pattern = "ascending"
+                else:
+                    continue
+                fail("p4-no-simple-middle", seq, f"simple middle edge, {pattern} degrees")
+                break
+        if n == 3:
+            for seq in (p, p[::-1]):
+                a, b, c = seq
+                if deg[a] > deg[b] or phi.multiplicity(b, c) != 1:
+                    continue
+                priv_a = N[a] - N[b]
+                if not (len(priv_a) == 1 and priv_a == N[c] - N[b]):
+                    fail("p3-pendant-difference", seq, "head/tail private neighbors differ")
+                union_ab = N[a] | N[b]
+                decomposed = N[c] == priv_a | (N[b] & N[c])
+                if not (decomposed and N[c] < union_ab):
+                    fail("p3-tail-decomposition", seq,
+                         "tail neighborhood fails the pendant decomposition")
+                if phi.multiplicity(a, b) != deg[b] - deg[a] + 1:
+                    fail("p3-first-multiplicity", seq,
+                         "first multiplicity differs from degree gap plus one")
+    return failed

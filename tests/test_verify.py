@@ -1,6 +1,7 @@
 """Structural checks: enumerators, per-law verdicts, whole-instance reports."""
 
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -28,7 +29,14 @@ from splitfactor import (
 )
 from splitfactor.verify import CYCLE_BOUND, DIAMETER_BOUND, _umbrella_free
 
-from bruteforce import brute_diameter, brute_induced_cycles, brute_induced_paths, brute_umbrella
+from bruteforce import (
+    PATH_LAW_NAMES,
+    brute_diameter,
+    brute_induced_cycles,
+    brute_induced_paths,
+    brute_path_laws,
+    brute_umbrella,
+)
 from test_graph import split_graphs
 
 
@@ -56,6 +64,31 @@ def random_multigraph(rng, n, density):
         if rng.random() < density
     }
     return FactorGraph(verts, mult)
+
+
+def fabricated_pair(rng):
+    """A split graph on 1-4 clique and 2-7 independent vertices with random
+    neighbourhoods, and a random multigraph on its independent set that is
+    not its factor graph.  Half of them contain a path through every
+    vertex, so long paths and the clique-excess premise occur."""
+    n = rng.randint(2, 7)
+    clique = [f"x{t}" for t in range(rng.randint(1, 4))]
+    labels = tuple("abcdefg"[:n])
+    S = SplitGraph.from_neighborhoods(
+        clique, {v: {x for x in clique if rng.random() < 0.5} for v in labels}
+    )
+    order = list(labels)
+    rng.shuffle(order)
+    mult = {}
+    if rng.random() < 0.5:
+        for t in range(n - 1):
+            mult[tuple(sorted(order[t:t + 2]))] = rng.choice((1, 1, 2, 3, 4))
+    density = rng.random() * 0.6
+    for a in range(n):
+        for b in range(a + 1, n):
+            if (labels[a], labels[b]) not in mult and rng.random() < density:
+                mult[labels[a], labels[b]] = rng.randint(1, 4)
+    return S, FactorGraph(labels, mult)
 
 
 def degree_order(S, phi):
@@ -138,6 +171,45 @@ class TestEnumerators:
         assert all(len(p) == 2 for p in enumerate_induced_paths(phi))
         assert len(enumerate_induced_paths(phi)) == 6
         assert all(len(c) == 3 for c in enumerate_induced_cycles(phi))
+
+    # paths written as label strings; witnesses depend on this exact order
+    PINNED_ORDERS = {
+        "ring": (
+            ring(tuple("abcde")),
+            "ab ae bc cd de",
+            "ab ae aed abc bc bcd bae cd cde de",
+            "ab ae aed aedc abc abcd bc bcd bcde bae baed cd cde cbae de",
+        ),
+        "tree": (
+            FactorGraph(tuple("caebdf"), {
+                ("a", "b"): 1, ("b", "c"): 2, ("b", "d"): 1, ("d", "e"): 3, ("e", "f"): 1,
+            }),
+            "cb ab ed ef bd",
+            "cb cba cbd ab abd ed ef edb bd def",
+            "cb cba cbd cbde cbdef ab abd abde abdef ed ef edb bd bdef def",
+        ),
+        "mesh": (
+            FactorGraph(tuple("fedcba"), {
+                ("a", "b"): 1, ("b", "c"): 1, ("c", "d"): 2, ("d", "e"): 1,
+                ("e", "f"): 1, ("f", "a"): 2, ("a", "d"): 1, ("b", "e"): 3,
+            }),
+            "fe fa ed eb dc da cb ba",
+            "fe fa fad fab fed feb ed eb ebc eba edc eda efa dc da dab dcb deb cb cba cda ba",
+            "fe fa fad fab fabc fadc fed feb febc fedc ed eb ebc eba edc eda efa dc da dab "
+            "dcb deb cb cba cda ba",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", ["demo", *PINNED_ORDERS])
+    def test_pinned_path_order(self, demo_graph, name):
+        if name == "demo":
+            phi = build_by_formula(demo_graph)
+            pinned = ("12 23 34", "12 123 23 234 34", "12 123 1234 23 234 34")
+        else:
+            phi, *pinned = self.PINNED_ORDERS[name]
+        for max_len, expected in zip((2, 3, None), pinned):
+            got = " ".join("".join(p) for p in enumerate_induced_paths(phi, max_len))
+            assert got == expected
 
     def test_matches_bruteforce_on_random_multigraphs(self):
         rng = random.Random(4096)
@@ -342,6 +414,20 @@ class TestFabricatedFailures:
         assert expected in check_paths(S, fake)
         fake_builders(monkeypatch, fake)
         assert expected in verify_all(S).checks
+
+
+    def test_path_laws_match_bruteforce_on_fabricated_pairs(self):
+        rng = random.Random(2024)
+        failures = Counter()
+        for _ in range(2000):
+            S, fake = fabricated_pair(rng)
+            failed = brute_path_laws(S, fake, enumerate_induced_paths(fake))
+            assert check_paths(S, fake) == [
+                CheckResult(name, name not in failed, failed.get(name)) for name in PATH_LAW_NAMES
+            ]
+            failures.update(failed.keys())
+        # every law fails somewhere, so each predicate meets inputs that break it
+        assert set(failures) == set(PATH_LAW_NAMES)
 
 
 class TestCheckResultFormatting:
