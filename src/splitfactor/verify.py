@@ -180,20 +180,30 @@ def is_induced_cycle(phi: FactorGraph, vertices: Sequence[str]) -> bool:
 
 
 def _induced_path_indices(nbr: tuple[int, ...], max_len: int) -> list[tuple[int, ...]]:
+    """Induced paths on 2..max_len vertices, each kept once, from its smaller end.
+
+    ``blocked`` holds the path's vertices and the neighbours of every vertex
+    before the last, so a path grows only by the last vertex's other
+    neighbours.  A path is kept from start ``s`` only if it ends above s, so
+    no search starts at the last vertex, and a path whose growth would
+    block every vertex above s has no children worth pushing.
+    """
     out: list[tuple[int, ...]] = []
     n = len(nbr)
-    for s in range(n):
-        stack: list[tuple[tuple[int, ...], int, int]] = [((s,), 1 << s, 0)]
+    for s in range(n - 1):
+        above = (1 << n) - (1 << (s + 1))
+        stack: list[tuple[tuple[int, ...], int]] = [((s,), 1 << s)]
         while stack:
-            path, used, forbid = stack.pop()
-            if len(path) >= max_len:
-                continue
+            path, blocked = stack.pop()
             last = path[-1]
-            for w in bits(nbr[last] & ~used & ~forbid):
+            child = blocked | nbr[last]
+            grow = len(path) + 1 < max_len and above & ~child
+            for w in bits(nbr[last] & ~blocked):
                 grown = path + (w,)
                 if s < w:
                     out.append(grown)
-                stack.append((grown, used | (1 << w), forbid | nbr[last]))
+                if grow:
+                    stack.append((grown, child))
     return out
 
 
@@ -355,34 +365,47 @@ def _check_pairs(ctx: _Context) -> int:
     return equal_pairs
 
 
-def _check_oriented(ctx: _Context, seq: tuple[int, ...], d: list[int]) -> None:
-    """Item and divisibility laws for one orientation whose head degree is the path max."""
-    N = [ctx.nmask[v] for v in seq]
+def _check_oriented(ctx: _Context, seq: tuple[int, ...]) -> None:
+    """Item and divisibility laws for one orientation whose head degree is the path max.
+
+    One scan from tail to head keeps the union and the maximum degree of
+    the positions from i + 2 on; the last failing position it meets is the
+    first along the path.  A position below both of the last two breaks
+    the minimum law; the head, being the maximum, never is.
+    """
+    deg, nmask = ctx.deg, ctx.nmask
     n = len(seq)
-    for i in range(n - 2):
-        bad = [j for j in range(i + 2, n) if d[i] < d[j] or (N[j] & ~N[i])]
-        if bad:
-            ctx.fail(PATH_INCLUSION, seq, f"positions {i + 1} vs {bad[0] + 1}")
-            break
-
-    suffix = [0] * (n + 2)
-    for j in range(n - 1, -1, -1):
-        suffix[j] = suffix[j + 1] | N[j]
-    # the union clause needs no test: suffix[2] inside N[0] gives suffix[0] == N[0] | N[1]
-    for i in range(n - 2):
-        if suffix[i + 2] & ~N[i]:
-            ctx.fail(PATH_UNION, seq, f"position {i + 1} misses later neighbors")
-            break
-
-    for t in range(n - 2):
-        if d[t] < d[t + 2]:
-            ctx.fail(PATH_PARITY, seq, f"positions {t + 1} vs {t + 3}")
-            break
-
-    if min(d) != min(d[-2], d[-1]):
+    low = min(deg[seq[-1]], deg[seq[-2]])
+    later = top = 0
+    inclusion = collapse = parity = -1
+    dip = False
+    for i in range(n - 3, -1, -1):
+        v, w = seq[i], seq[i + 2]
+        dv, dw = deg[v], deg[w]
+        later |= nmask[w]
+        if dw > top:
+            top = dw
+        if later & ~nmask[v]:
+            inclusion = collapse = i
+        elif dv < top:
+            inclusion = i
+        if dv < dw:
+            parity = i
+        if dv < low:
+            dip = True
+    if inclusion >= 0:
+        dv, Nv = deg[seq[inclusion]], nmask[seq[inclusion]]
+        j = next(j for j in range(inclusion + 2, n)
+                 if dv < deg[seq[j]] or nmask[seq[j]] & ~Nv)
+        ctx.fail(PATH_INCLUSION, seq, f"positions {inclusion + 1} vs {j + 1}")
+    if collapse >= 0:
+        ctx.fail(PATH_UNION, seq, f"position {collapse + 1} misses later neighbors")
+    if parity >= 0:
+        ctx.fail(PATH_PARITY, seq, f"positions {parity + 1} vs {parity + 3}")
+    if dip:
         ctx.fail(PATH_MIN, seq, "minimum not within last two positions")
-
-    _check_first_edge(ctx, seq, suffix[0])
+    # no union-clause test: the later union inside N_1 makes the whole union N_1 | N_2
+    _check_first_edge(ctx, seq, later | nmask[seq[0]] | nmask[seq[1]])
 
 
 def _check_first_edge(ctx: _Context, seq: tuple[int, ...], union: int) -> None:
@@ -419,6 +442,11 @@ def _check_path(ctx: _Context, p: tuple[int, ...]) -> None:
     single edge only the first-edge divisibility laws have content, and with
     equal end degrees both orientations give one verdict, so the edge is
     checked once, head-maximal and named as given when the degrees tie.
+    On four or fewer vertices every position lies within the first two or
+    the last two, so path-max-at-ends is evaluated from five vertices on.
+    On three vertices the only position before the last two is the head of
+    a head-maximal orientation, which is the maximum, so path-min-at-tail
+    cannot fail there and its scan test never fires.
     """
     deg = ctx.deg
     n = len(p)
@@ -428,12 +456,12 @@ def _check_path(ctx: _Context, p: tuple[int, ...]) -> None:
         return
     d = [deg[v] for v in p]
     top = max(d)
-    if top not in (d[0], d[1], d[-2], d[-1]):
+    if n > 4 and top not in (d[0], d[1], d[-2], d[-1]):
         ctx.fail(PATH_MAX, p, f"max degree {top} only at interior positions")
     if d[0] == top:
-        _check_oriented(ctx, p, d)
+        _check_oriented(ctx, p)
     if d[-1] == top:
-        _check_oriented(ctx, p[::-1], d[::-1])
+        _check_oriented(ctx, p[::-1])
     if n == 5 and d[2] == top:
         ctx.fail(P5_MIDDLE, p, "middle degree equals the maximum")
 
