@@ -573,6 +573,7 @@ def check_diameter_bound(S: SplitGraph, phi: FactorGraph | None = None) -> Check
     which bounds the diameter, exceeds the bound.
     """
     phi = build_by_formula(S) if phi is None else phi
+    _require_independent_set(S, phi)
     n = len(phi.vertices)
     if n == 0:
         return CheckResult(DIAMETER_BOUND, True, note="empty factor graph")

@@ -316,6 +316,12 @@ class TestFabricatedFailures:
         with pytest.raises(GraphError, match="do not match the independent set"):
             check_cycle_bound(demo_graph, wrong)
 
+    def test_diameter_bound_rejects_mismatched_factor_graph(self):
+        S = one_clique_vertex(("1", "2"))
+        wrong = FactorGraph(("a", "b", "c"), {("a", "b"): 1})
+        with pytest.raises(GraphError, match="do not match the independent set"):
+            check_diameter_bound(S, wrong)
+
     def test_interior_simple_edge_failure(self, demo_graph):
         fake = chain(("1", "2", "3", "4"), (2, 1, 2))
         results = {r.name: r for r in check_paths(demo_graph, fake)}
