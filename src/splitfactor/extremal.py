@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .factor import FactorGraph, build_by_formula
 from .graph import GraphError, SplitGraph
 from .switches import enumerate_two_switches
-from .verify import CheckResult, enumerate_induced_paths
+from .verify import CheckResult
 
 EXTREMAL_DEGREE = "extremal-switch-degree"
 EXTREMAL_PATH = "extremal-path-shape"
@@ -86,6 +86,23 @@ def build_extremal(n: int) -> ExtremalInstance:
     return ExtremalInstance(n, graph, expected)
 
 
+def _spanning_path(phi: FactorGraph) -> tuple[str, ...] | None:
+    """phi's simple view as one path through every vertex, from its
+    smaller-index end, or None when the simple view is no such path."""
+    nbr = phi.neighbor_masks()
+    ends = [v for v, mask in enumerate(nbr) if mask.bit_count() == 1]
+    if len(ends) != 2 or any(mask.bit_count() > 2 for mask in nbr):
+        return None
+    order = [ends[0]]
+    seen = 1 << ends[0]
+    while step := nbr[order[-1]] & ~seen:
+        order.append(step.bit_length() - 1)
+        seen |= step
+    if len(order) != len(nbr):
+        return None
+    return tuple(phi.vertices[v] for v in order)
+
+
 def verify_extremal(inst: ExtremalInstance) -> list[CheckResult]:
     """Recompute the factor graph and check every promised property."""
     n = inst.n
@@ -103,8 +120,7 @@ def verify_extremal(inst: ExtremalInstance) -> list[CheckResult]:
         )
     )
 
-    # an induced path through every vertex is the whole simple view
-    order = next((p for p in enumerate_induced_paths(phi) if len(p) == len(phi.vertices)), None)
+    order = _spanning_path(phi)
     shape_ok = order is not None and len(order) == length + 1
     results.append(
         CheckResult(

@@ -101,3 +101,10 @@ def test_degree_witness_names_both_counts(monkeypatch):
     assert degree.line() == (
         "CHECK extremal-switch-degree FAIL n=3; factor size 3, 4 enumerated moves"
     )
+
+
+def test_large_member_verifies():
+    # the path check walks the factor path instead of enumerating induced paths
+    results = verify_extremal(build_extremal(1000))
+    assert [r.name for r in results] == list(EXTREMAL_CHECK_NAMES)
+    assert all(r.passed for r in results)
