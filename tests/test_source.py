@@ -1,19 +1,50 @@
 """Rules that hold for every module of the library source."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "splitfactor"
 
 
-def test_library_has_no_assert():
-    # runtime invariants are real checks; `python -O` strips assert statements
+def library_trees():
     modules = sorted(SRC.glob("*.py"))
     assert modules, f"no library modules under {SRC}"
+    return [(path.name, ast.parse(path.read_text(), filename=str(path))) for path in modules]
+
+
+def foreign_imports(tree):
+    """Line numbers of imports that name neither a standard-library module
+    nor a module of this package (a relative import one level up)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                continue
+            names = [node.module or ""] if node.level == 0 else [""]
+        else:
+            continue
+        if any(name.partition(".")[0] not in sys.stdlib_module_names for name in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_library_has_no_assert():
+    # runtime invariants are real checks; `python -O` strips assert statements
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in modules
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        f"{name}:{node.lineno}"
+        for name, tree in library_trees()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_library_imports_only_the_standard_library():
+    # the package has no runtime dependencies
+    sample = "import os.path\nimport numpy\nfrom .graph import bits\nfrom .. import x\n"
+    assert foreign_imports(ast.parse(sample)) == [2, 4]
+    found = [f"{name}:{line}" for name, tree in library_trees() for line in foreign_imports(tree)]
     assert found == []
