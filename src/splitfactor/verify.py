@@ -183,10 +183,10 @@ def _induced_path_indices(nbr: tuple[int, ...], max_len: int) -> list[tuple[int,
     """Induced paths on 2..max_len vertices, each kept once, from its smaller end.
 
     ``blocked`` holds the path's vertices and the neighbours of every vertex
-    before the last, so a path grows only by the last vertex's other
-    neighbours.  A path is kept from start ``s`` only if it ends above s, so
-    no search starts at the last vertex, and a path whose growth would
-    block every vertex above s has no children worth pushing.
+    before the last, so a path grows only by neighbours of its last vertex
+    outside it.  A path is kept from start ``s`` only if it ends above s, so
+    no search starts at the last vertex, and once a path's children would
+    block every vertex above s, they are kept but not pushed.
     """
     out: list[tuple[int, ...]] = []
     n = len(nbr)

@@ -104,7 +104,7 @@ def test_degree_witness_names_both_counts(monkeypatch):
 
 
 def test_large_member_verifies():
-    # the path check walks the factor path instead of enumerating induced paths
+    # a factor path on 501 vertices has about 125,000 induced paths
     results = verify_extremal(build_extremal(1000))
     assert [r.name for r in results] == list(EXTREMAL_CHECK_NAMES)
     assert all(r.passed for r in results)

@@ -15,15 +15,14 @@ def library_trees():
 
 def foreign_imports(tree):
     """Line numbers of imports that name neither a standard-library module
-    nor a module of this package (a relative import one level up)."""
+    nor, by a single-dot relative import, a module of this package."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            if node.level == 1:
-                continue
-            names = [node.module or ""] if node.level == 0 else [""]
+        elif isinstance(node, ast.ImportFrom) and node.level != 1:
+            # two or more dots reach outside the package
+            names = [node.module if node.level == 0 else ""]
         else:
             continue
         if any(name.partition(".")[0] not in sys.stdlib_module_names for name in names):
