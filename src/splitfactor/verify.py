@@ -368,38 +368,35 @@ def _check_pairs(ctx: _Context) -> int:
 def _check_oriented(ctx: _Context, seq: tuple[int, ...]) -> None:
     """Item and divisibility laws for one orientation whose head degree is the path max.
 
-    One scan from tail to head keeps the union and the maximum degree of
-    the positions from i + 2 on; the last failing position it meets is the
-    first along the path.  A position below both of the last two breaks
-    the minimum law; the head, being the maximum, never is.
+    One scan from tail to head keeps the union of the neighborhoods from
+    position i + 2 on; the last failing position it meets is the first
+    along the path.  Degrees are neighborhood sizes, so N_j inside N_i
+    gives d_j <= d_i: the inclusion chain's degree clause needs no test,
+    and the chain and the union collapse first fail at the same position.
+    A position below both of the last two breaks the minimum law; the
+    head, being the maximum, never is.
     """
     deg, nmask = ctx.deg, ctx.nmask
     n = len(seq)
     low = min(deg[seq[-1]], deg[seq[-2]])
-    later = top = 0
-    inclusion = collapse = parity = -1
+    later = 0
+    spill = parity = -1
     dip = False
     for i in range(n - 3, -1, -1):
         v, w = seq[i], seq[i + 2]
-        dv, dw = deg[v], deg[w]
+        dv = deg[v]
         later |= nmask[w]
-        if dw > top:
-            top = dw
         if later & ~nmask[v]:
-            inclusion = collapse = i
-        elif dv < top:
-            inclusion = i
-        if dv < dw:
+            spill = i
+        if dv < deg[w]:
             parity = i
         if dv < low:
             dip = True
-    if inclusion >= 0:
-        dv, Nv = deg[seq[inclusion]], nmask[seq[inclusion]]
-        j = next(j for j in range(inclusion + 2, n)
-                 if dv < deg[seq[j]] or nmask[seq[j]] & ~Nv)
-        ctx.fail(PATH_INCLUSION, seq, f"positions {inclusion + 1} vs {j + 1}")
-    if collapse >= 0:
-        ctx.fail(PATH_UNION, seq, f"position {collapse + 1} misses later neighbors")
+    if spill >= 0:
+        Nv = nmask[seq[spill]]
+        j = next(j for j in range(spill + 2, n) if nmask[seq[j]] & ~Nv)
+        ctx.fail(PATH_INCLUSION, seq, f"positions {spill + 1} vs {j + 1}")
+        ctx.fail(PATH_UNION, seq, f"position {spill + 1} misses later neighbors")
     if parity >= 0:
         ctx.fail(PATH_PARITY, seq, f"positions {parity + 1} vs {parity + 3}")
     if dip:
