@@ -185,8 +185,8 @@ def _induced_path_indices(nbr: tuple[int, ...], max_len: int) -> list[tuple[int,
     ``blocked`` holds the path's vertices and the neighbours of every vertex
     before the last, so a path grows only by neighbours of its last vertex
     outside it.  A path is kept from start ``s`` only if it ends above s, so
-    no search starts at the last vertex, and once a path's children would
-    block every vertex above s, they are kept but not pushed.
+    no search starts at the last vertex, and a path's children are not
+    pushed once they would block every vertex above s.
     """
     out: list[tuple[int, ...]] = []
     n = len(nbr)

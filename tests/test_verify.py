@@ -68,9 +68,10 @@ def random_multigraph(rng, n, density):
 
 def fabricated_pair(rng):
     """A split graph on 1-4 clique and 2-7 independent vertices with random
-    neighbourhoods, and a random multigraph on its independent set that is
-    not its factor graph.  Half of them contain a path through every
-    vertex, so long paths and the clique-excess premise occur."""
+    neighbourhoods, and a random multigraph on its independent set drawn
+    without regard to its factor graph.  Half of the multigraphs contain a
+    path through every vertex, so long paths and the clique-excess premise
+    occur."""
     n = rng.randint(2, 7)
     clique = [f"x{t}" for t in range(rng.randint(1, 4))]
     labels = tuple("abcdefg"[:n])
