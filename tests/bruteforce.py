@@ -134,6 +134,21 @@ def brute_induced_cycles(phi: FactorGraph) -> set[tuple[str, ...]]:
     return found
 
 
+def brute_is_induced(phi: FactorGraph, seq: tuple[str, ...], closed: bool) -> bool:
+    """Whether ``seq`` is an induced cycle of phi (``closed``) or an induced
+    path, by scanning every pair of positions: positive multiplicity exactly
+    on consecutive positions, and on first-last as well when closed."""
+    n = len(seq)
+    if n < (3 if closed else 2) or len(set(seq)) != n:
+        return False
+    for i in range(n):
+        for j in range(i + 1, n):
+            consecutive = j == i + 1 or (closed and i == 0 and j == n - 1)
+            if (phi.multiplicity(seq[i], seq[j]) > 0) != consecutive:
+                return False
+    return True
+
+
 def brute_diameter(simple: dict[str, frozenset[str]]) -> tuple[bool, int | None]:
     """(connected, diameter) of a simple adjacency map via dict BFS."""
     verts = list(simple)

@@ -1,8 +1,9 @@
 """Structural checks: enumerators, per-law verdicts, whole-instance reports."""
 
+import multiprocessing
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from splitfactor import (
     FactorGraph,
     GraphError,
     SplitGraph,
+    build_by_enumeration,
     build_by_formula,
     check_cycle_bound,
     check_diameter_bound,
@@ -34,6 +36,7 @@ from bruteforce import (
     brute_diameter,
     brute_induced_cycles,
     brute_induced_paths,
+    brute_is_induced,
     brute_path_laws,
     brute_umbrella,
 )
@@ -245,6 +248,18 @@ class TestValidators:
             {("a", "b"): 1, ("b", "c"): 1, ("c", "d"): 1, ("d", "a"): 1, ("a", "c"): 1},
         )
         assert not is_induced_cycle(phi_chord, ("a", "b", "c", "d"))
+
+    def test_validators_match_pairwise_scan(self):
+        rng = random.Random(2024)
+        checked = 0
+        for _ in range(200):
+            phi = random_multigraph(rng, rng.randint(0, 5), rng.random())
+            for length in range(6):
+                for seq in product(phi.vertices, repeat=length):
+                    assert is_induced_path(phi, seq) == brute_is_induced(phi, seq, False)
+                    assert is_induced_cycle(phi, seq) == brute_is_induced(phi, seq, True)
+                    checked += 1
+        assert checked > 100_000
 
 
 class TestPerPathChecks:
@@ -627,3 +642,23 @@ class TestSweep:
         parallel = sweep(spec, workers=2)
         assert inline == parallel
         assert inline.instances == 4096 and inline.ok
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="only forked workers see the patched builder",
+    )
+    def test_parallel_merges_failures_in_index_order(self, monkeypatch):
+        # an empty enumeration phi wherever the first independent vertex sees x1 and x3
+        def enumeration(S):
+            if S.adj_masks[S.k_size] == 0b101:
+                return FactorGraph(S.independent, {})
+            return build_by_enumeration(S)
+
+        monkeypatch.setattr(splitfactor.verify, "build_by_enumeration", enumeration)
+        spec = CorpusSpec("exhaustive", 4, 3)
+        inline = sweep(spec, workers=1)
+        assert sweep(spec, workers=2) == inline
+        assert inline.instances == 4096
+        ids = [instance_id for instance_id, _ in inline.failed]
+        assert len(ids) == 211
+        assert ids == sorted(ids, key=lambda i: int(i.rsplit("-", 1)[1]))
