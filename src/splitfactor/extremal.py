@@ -51,8 +51,14 @@ class ExtremalInstance:
         return (self.n + 2) // 2  # ceil((n+1)/2)
 
 
+def _check_index(n: object) -> None:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise GraphError(f"extremal family is indexed by integers n >= 1, got {n!r}")
+
+
 def expected_multiplicities(n: int) -> list[int]:
     """Multiplicities along the factor path, from the always-simple end."""
+    _check_index(n)
     length = (n + 2) // 2
     if length == 1:
         return [1]
@@ -61,8 +67,7 @@ def expected_multiplicities(n: int) -> list[int]:
 
 def build_extremal(n: int) -> ExtremalInstance:
     """Construct the n-th family member by running the induction from n=1."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise GraphError(f"extremal family is indexed by integers n >= 1, got {n!r}")
+    _check_index(n)
     clique = ["x1", "x2"]
     nbhd: dict[str, set[str]] = {"y1": {"x1"}, "y2": {"x2"}}
     for m in range(1, n):

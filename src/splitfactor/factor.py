@@ -97,9 +97,6 @@ class FactorGraph:
             raise GraphError(f"multiplicity of a loop queried: {u!r}")
         return self._mult.get((a, b) if a < b else (b, a), 0)
 
-    def multiplicity_by_index(self, a: int, b: int) -> int:
-        return self._mult.get((a, b) if a < b else (b, a), 0)
-
     def multiplicity_table(self) -> list[int]:
         """All multiplicities as a flat row-major list: entry ``a * |V| + b``
         is the multiplicity of vertex indices a and b, zero on the diagonal."""
@@ -215,11 +212,15 @@ def format_multiplicity_listing(phi: FactorGraph) -> str:
 
 
 def to_dot(phi: FactorGraph, name: str = "phi") -> str:
-    """DOT rendering; each edge carries label and penwidth equal to its multiplicity."""
+    """DOT rendering; each edge carries label and penwidth equal to its multiplicity.
+
+    Labels are DOT quoted strings, with backslash and double quote escaped.
+    """
+    quoted = {v: '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"' for v in phi.vertices}
     lines = [f"graph {name} {{"]
     for v in phi.vertices:
-        lines.append(f'  "{v}";')
+        lines.append(f"  {quoted[v]};")
     for u, v, m in phi.edges():
-        lines.append(f'  "{u}" -- "{v}" [label={m}, penwidth={m}];')
+        lines.append(f"  {quoted[u]} -- {quoted[v]} [label={m}, penwidth={m}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

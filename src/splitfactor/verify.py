@@ -52,19 +52,23 @@ The laws, by check name:
 - ``diameter-bound``: a connected phi has diameter at most
   ceil((size + 1) / 2); disconnected instances pass with a note.
 
-The two whole-graph laws have one check each, ``check_cycle_bound`` and
-``check_diameter_bound``, which decide by certificate where one exists (an
-umbrella-free degree order; a connected phi with |I| - 1 within the bound)
-and search for a witness only otherwise.  ``verify_all`` calls them as they
-are.
+All 22 laws run on one check context, which picks the formula factor
+graph when none is given, checks it against S's independent set once and
+keeps each law's first witness and note.  ``verify_all`` runs every law on
+one context, and each public check builds one of its own.  The two
+whole-graph laws decide by certificate where one exists (an umbrella-free
+degree order; a connected phi with |I| - 1 within the bound) and search
+for a witness only otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial, reduce
+from operator import or_
 from typing import Iterable, Sequence
 
-from .corpus import CorpusSpec, corpus_size, generate
+from .corpus import CorpusSpec, corpus_size, instance, instance_id
 from .factor import FactorGraph, build_by_enumeration, build_by_formula
 from .graph import GraphError, SplitGraph, bits
 
@@ -153,30 +157,27 @@ class VerificationReport:
 # -- induced path / cycle machinery ------------------------------------------------
 
 
-def is_induced_path(phi: FactorGraph, vertices: Sequence[str]) -> bool:
+def _is_induced(phi: FactorGraph, vertices: Sequence[str], closed: bool) -> bool:
+    """Whether the vertices are distinct, each is adjacent to the next (and
+    the last to the first when closed), and phi has no other edge among them."""
     seq = [phi.index_of(v) for v in vertices]
     n = len(seq)
-    if n < 2 or len(set(seq)) != n:
+    if n < (3 if closed else 2) or len(set(seq)) != n:
         return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            positive = phi.multiplicity_by_index(seq[i], seq[j]) > 0
-            if positive != (j == i + 1):
-                return False
-    return True
+    nbr = phi.neighbor_masks()
+    steps = list(zip(seq, seq[1:] + seq[:1] if closed else seq[1:]))
+    on = sum(1 << v for v in seq)
+    # each step is a distinct pair, so an edge count of one per step leaves no chord
+    edges = sum((nbr[v] & on).bit_count() for v in seq) // 2
+    return edges == len(steps) and all(nbr[a] >> b & 1 for a, b in steps)
+
+
+def is_induced_path(phi: FactorGraph, vertices: Sequence[str]) -> bool:
+    return _is_induced(phi, vertices, False)
 
 
 def is_induced_cycle(phi: FactorGraph, vertices: Sequence[str]) -> bool:
-    seq = [phi.index_of(v) for v in vertices]
-    n = len(seq)
-    if n < 3 or len(set(seq)) != n:
-        return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            consecutive = (j == i + 1) or (i == 0 and j == n - 1)
-            if (phi.multiplicity_by_index(seq[i], seq[j]) > 0) != consecutive:
-                return False
-    return True
+    return _is_induced(phi, vertices, True)
 
 
 def _induced_path_indices(nbr: tuple[int, ...], max_len: int) -> list[tuple[int, ...]]:
@@ -258,9 +259,7 @@ def _path_cap(n: int, max_len: int | None) -> int:
     return min(max_len, n)
 
 
-def enumerate_induced_paths(
-    phi: FactorGraph, max_len: int | None = None
-) -> list[tuple[str, ...]]:
+def enumerate_induced_paths(phi: FactorGraph, max_len: int | None = None) -> list[tuple[str, ...]]:
     """All induced paths on 2..max_len vertices of phi's simple view.
 
     Consecutive multiplicities are positive, all other pairs zero.  Each
@@ -287,39 +286,37 @@ def enumerate_induced_cycles(phi: FactorGraph) -> list[tuple[str, ...]]:
 # -- check context ------------------------------------------------------------------
 
 
-def _require_independent_set(S: SplitGraph, phi: FactorGraph) -> None:
-    if set(phi.vertices) != set(S.independent):
-        raise GraphError("factor graph vertices do not match the independent set")
-
-
 class _Context:
     """Index-level view of one (S, phi) instance, built once per verification.
 
-    ``mult`` is phi's flat multiplicity table (entry ``a * n + b``).
-    ``failed`` maps a law name to the witness of its first failure; a law
-    that never failed is absent, so witnesses are formatted only on failure.
+    ``phi`` defaults to the formula factor graph of S, and must live on S's
+    independent set.  ``mult`` is phi's flat multiplicity table (entry
+    ``a * n + b``).  ``failed`` maps a law name to the witness of its first
+    failure and ``notes`` a law name to its note; a law that never failed is
+    absent from ``failed``, so witnesses are formatted only on failure.
     """
 
-    __slots__ = ("labels", "n", "deg", "nmask", "mult", "nbr", "k_size", "clique_law", "failed")
+    __slots__ = ("phi", "labels", "n", "deg", "nmask", "mult", "nbr", "k_size", "clique_law",
+                 "failed", "notes")
 
-    def __init__(self, S: SplitGraph, phi: FactorGraph):
-        _require_independent_set(S, phi)
+    def __init__(self, S: SplitGraph, phi: FactorGraph | None = None):
+        phi = build_by_formula(S) if phi is None else phi
+        if set(phi.vertices) != set(S.independent):
+            raise GraphError("factor graph vertices do not match the independent set")
+        self.phi = phi
         self.labels = phi.vertices
         self.n = len(self.labels)
-        self.deg = [S.degree(v) for v in self.labels]
         self.nmask = [S.adj_masks[S.index_of(v)] for v in self.labels]
+        self.deg = [m.bit_count() for m in self.nmask]
         self.mult = phi.multiplicity_table()
         self.nbr = phi.neighbor_masks()
         self.k_size = S.k_size
-        union = 0
-        for m in self.nmask:
-            union |= m
+        union = reduce(or_, self.nmask, 0)
         # the clique-excess law speaks of a phi that is a path over all of I,
         # with K the union of all I-neighborhoods
-        self.clique_law = (
-            union == (1 << S.k_size) - 1 and phi.simple_edge_count() == self.n - 1
-        )
+        self.clique_law = union == (1 << S.k_size) - 1 and phi.simple_edge_count() == self.n - 1
         self.failed: dict[str, str] = {}
+        self.notes: dict[str, str] = {}
 
     def fail(self, name: str, seq: Sequence[int], detail: str) -> None:
         """Record a path law's failure unless an earlier one is kept."""
@@ -327,14 +324,17 @@ class _Context:
             self.failed[name] = f"path {' '.join(self.labels[i] for i in seq)}; {detail}"
 
     def results(self, names: Iterable[str]) -> list[CheckResult]:
-        return [CheckResult(name, name not in self.failed, self.failed.get(name)) for name in names]
+        failed, notes = self.failed, self.notes
+        return [CheckResult(name, name not in failed, failed.get(name), notes.get(name))
+                for name in names]
 
 
 # -- law predicates (index level) ---------------------------------------------------
 
 
-def _check_pairs(ctx: _Context) -> int:
-    """Pair laws over every ordered pair; returns the number of equal-neighborhood pairs."""
+def _check_pairs(ctx: _Context) -> None:
+    """Pair laws over every ordered pair; the number of equal-neighborhood
+    pairs, when there are any, is noted on nesting-iff-zero."""
     labels, deg, nmask, nbr, failed = ctx.labels, ctx.deg, ctx.nmask, ctx.nbr, ctx.failed
     n, mult = ctx.n, ctx.mult
     equal_pairs = 0
@@ -362,7 +362,8 @@ def _check_pairs(ctx: _Context) -> int:
                     and (Nb & ~Na).bit_count() == 1
                 ):
                     failed.setdefault(SIMPLE_BALANCED, f"pair {labels[a]} {labels[b]}")
-    return equal_pairs
+    if equal_pairs:
+        ctx.notes[NESTING_IFF] = f"neighborhood-equal-pairs={equal_pairs}"
 
 
 def _check_oriented(ctx: _Context, seq: tuple[int, ...]) -> None:
@@ -501,26 +502,53 @@ def _check_path(ctx: _Context, p: tuple[int, ...]) -> None:
 
 
 def _check_paths(
-    S: SplitGraph,
-    phi: FactorGraph | None,
-    paths: Iterable[Sequence[str]] | None,
-    max_len: int | None = None,
-) -> _Context:
+    ctx: _Context, paths: Iterable[Sequence[str]] | None, max_len: int | None = None
+) -> None:
     """Per-path laws over the caller's paths, each validated as induced, or
     over every induced path of phi on at most ``max_len`` vertices."""
-    phi = build_by_formula(S) if phi is None else phi
-    ctx = _Context(S, phi)
     if paths is None:
-        seqs = _induced_path_indices(ctx.nbr, _path_cap(len(ctx.labels), max_len))
+        seqs = _induced_path_indices(ctx.nbr, _path_cap(ctx.n, max_len))
     else:
         seqs = []
         for path in paths:
-            if not is_induced_path(phi, path):
+            if not is_induced_path(ctx.phi, path):
                 raise GraphError(f"not an induced path: {' '.join(path)}")
-            seqs.append(tuple(phi.index_of(v) for v in path))
+            seqs.append(tuple(ctx.phi.index_of(v) for v in path))
     for p in seqs:
         _check_path(ctx, p)
-    return ctx
+
+
+def _check_cycles(ctx: _Context) -> None:
+    """Every induced cycle has length 3 or 4.
+
+    Cycles are enumerated only when I, ordered by degree in S (largest
+    first, ties by index), has an umbrella.  On phi(S) it never has one:
+    multiplicity 0 means nested neighborhoods, so non-edges u-v, v-w down
+    the order nest N_w in N_u and make u-w a non-edge too.
+    """
+    if _umbrella_free(ctx.nbr, sorted(range(ctx.n), key=ctx.deg.__getitem__, reverse=True)):
+        return
+    cycle = next((seq for seq in _induced_cycle_indices(ctx.nbr) if len(seq) > 4), None)
+    if cycle:
+        labels = " ".join(ctx.labels[i] for i in cycle)
+        ctx.failed[CYCLE_BOUND] = f"cycle {labels}; length {len(cycle)}"
+
+
+def _check_diameter(ctx: _Context) -> None:
+    """A connected phi has diameter <= ceil((size + 1) / 2).
+
+    One search decides connectivity.  All-pairs BFS runs only when |I| - 1,
+    which bounds the diameter, exceeds the bound.
+    """
+    phi, n = ctx.phi, ctx.n
+    if n == 0:
+        ctx.notes[DIAMETER_BOUND] = "empty factor graph"
+    elif phi.reach(0)[0] != (1 << n) - 1:
+        ctx.notes[DIAMETER_BOUND] = "not applicable: disconnected"
+    else:
+        bound = (phi.size() + 2) // 2
+        if n - 1 > bound and (value := phi.diameter().value) > bound:
+            ctx.failed[DIAMETER_BOUND] = f"diameter {value} exceeds bound {bound}"
 
 
 # -- public checks -------------------------------------------------------------------
@@ -537,49 +565,27 @@ def check_paths(
     ``CHECK_NAMES`` order; a caller path that is not induced in phi raises
     :class:`GraphError`.
     """
-    return _check_paths(S, phi, paths).results(_PATH_LAWS)
+    ctx = _Context(S, phi)
+    _check_paths(ctx, paths)
+    return ctx.results(_PATH_LAWS)
 
 
 def check_cycle_bound(S: SplitGraph, phi: FactorGraph | None = None) -> CheckResult:
     """Every induced cycle of phi, by default the formula factor graph of S,
-    has length 3 or 4.
-
-    Cycles are enumerated only when I, ordered by degree in S (largest
-    first, ties by index), has an umbrella.  On phi(S) it never has one:
-    multiplicity 0 means nested neighborhoods, so non-edges u-v, v-w down
-    the order nest N_w in N_u and make u-w a non-edge too.
-    """
-    phi = build_by_formula(S) if phi is None else phi
-    _require_independent_set(S, phi)
-    nbr = phi.neighbor_masks()
-    deg = [S.degree(v) for v in phi.vertices]
-    if _umbrella_free(nbr, sorted(range(len(deg)), key=deg.__getitem__, reverse=True)):
-        return CheckResult(CYCLE_BOUND, True)
-    for seq in _induced_cycle_indices(nbr):
-        if len(seq) > 4:
-            labels = " ".join(phi.vertices[i] for i in seq)
-            return CheckResult(CYCLE_BOUND, False, f"cycle {labels}; length {len(seq)}")
-    return CheckResult(CYCLE_BOUND, True)
+    has length 3 or 4; decided by an umbrella-free degree order where one
+    exists, by cycle enumeration otherwise."""
+    ctx = _Context(S, phi)
+    _check_cycles(ctx)
+    return ctx.results((CYCLE_BOUND,))[0]
 
 
 def check_diameter_bound(S: SplitGraph, phi: FactorGraph | None = None) -> CheckResult:
     """A connected phi, by default the formula factor graph of S, has
-    diameter <= ceil((size + 1) / 2).
-
-    One search decides connectivity.  All-pairs BFS runs only when |I| - 1,
-    which bounds the diameter, exceeds the bound.
-    """
-    phi = build_by_formula(S) if phi is None else phi
-    _require_independent_set(S, phi)
-    n = len(phi.vertices)
-    if n == 0:
-        return CheckResult(DIAMETER_BOUND, True, note="empty factor graph")
-    if phi.reach(0)[0] != (1 << n) - 1:
-        return CheckResult(DIAMETER_BOUND, True, note="not applicable: disconnected")
-    bound = (phi.size() + 2) // 2
-    if n - 1 <= bound or (value := phi.diameter().value) <= bound:
-        return CheckResult(DIAMETER_BOUND, True)
-    return CheckResult(DIAMETER_BOUND, False, f"diameter {value} exceeds bound {bound}")
+    diameter <= ceil((size + 1) / 2); an empty or disconnected phi passes
+    with a note."""
+    ctx = _Context(S, phi)
+    _check_diameter(ctx)
+    return ctx.results((DIAMETER_BOUND,))[0]
 
 
 def verify_all(
@@ -588,31 +594,25 @@ def verify_all(
     """Run every structural check against one split graph.
 
     Builds the factor graph both ways, checks the builder and size
-    identities, the pairwise laws, then every path law over the full
+    identities, the pairwise laws, every path law over the full
     induced-path enumeration (capped at ``max_len`` vertices when given),
-    and last the whole-graph laws through ``check_cycle_bound`` and
-    ``check_diameter_bound``.
+    and the two whole-graph laws, all on one check context.
     """
     if instance is None:
         instance = f"splitgraph-k{S.k_size}-i{len(S.independent)}-e{S.edge_count()}"
-    phi = build_by_formula(S)
+    ctx = _Context(S)
     # one count per enumerated move, so its size is the 2-switch degree
     phi_enum = build_by_enumeration(S)
-    ctx = _check_paths(S, phi, None, max_len)
-    size = phi.size()
-    if phi != phi_enum:
+    size = ctx.phi.size()
+    if ctx.phi != phi_enum:
         ctx.failed[BUILDERS_AGREE] = "formula and enumeration builders disagree"
     if size != phi_enum.size():
         ctx.failed[SIZE_DEGREE] = f"size {size} != switch degree {phi_enum.size()}"
-    equal_pairs = _check_pairs(ctx)
-
-    cycle = CHECK_NAMES.index(CYCLE_BOUND)
-    checks = ctx.results(CHECK_NAMES[:cycle]) + [check_cycle_bound(S, phi)]
-    checks += ctx.results(CHECK_NAMES[cycle + 1:-1]) + [check_diameter_bound(S, phi)]
-    if equal_pairs:
-        nesting = CHECK_NAMES.index(NESTING_IFF)
-        checks[nesting] = replace(checks[nesting], note=f"neighborhood-equal-pairs={equal_pairs}")
-    return VerificationReport(instance, checks)
+    _check_pairs(ctx)
+    _check_paths(ctx, None, max_len)
+    _check_cycles(ctx)
+    _check_diameter(ctx)
+    return VerificationReport(instance, ctx.results(CHECK_NAMES))
 
 
 # -- corpus sweeps -------------------------------------------------------------------
@@ -632,35 +632,25 @@ class SweepSummary:
         return not self.failed
 
 
-def _sweep_range(
-    spec: CorpusSpec, start: int, stop: int, max_len: int | None
-) -> tuple[int, list[tuple[str, tuple[CheckResult, ...]]]]:
-    count = 0
-    failed: list[tuple[str, tuple[CheckResult, ...]]] = []
-    for instance_id, S in generate(spec, start, stop):
-        count += 1
-        report = verify_all(S, instance=instance_id, max_len=max_len)
-        if not report.ok:
-            failed.append((instance_id, tuple(report.failures())))
-    return count, failed
+def _failures(
+    spec: CorpusSpec, max_len: int | None, index: int
+) -> tuple[str, tuple[CheckResult, ...]] | None:
+    """The id and failed checks of one corpus instance, or None when it passes."""
+    instance_name = instance_id(spec, index)
+    report = verify_all(instance(spec, index), instance=instance_name, max_len=max_len)
+    return None if report.ok else (instance_name, tuple(report.failures()))
 
 
 def sweep(spec: CorpusSpec, workers: int = 1, max_len: int | None = None) -> SweepSummary:
     """Verify every instance of a corpus; reports merge in index order."""
     total = corpus_size(spec)
+    check = partial(_failures, spec, max_len)
     if workers <= 1 or total < 2048:
-        count, failed = _sweep_range(spec, 0, total, max_len)
-        return SweepSummary(count, tuple(failed))
-    import multiprocessing
+        failed = [found for found in map(check, range(total)) if found]
+    else:
+        import multiprocessing
 
-    chunk = max(256, -(-total // (workers * 4)))
-    ranges = [
-        (spec, lo, min(lo + chunk, total), max_len) for lo in range(0, total, chunk)
-    ]
-    instances = 0
-    failed_all: list[tuple[str, tuple[CheckResult, ...]]] = []
-    with multiprocessing.Pool(workers) as pool:
-        for count, failed in pool.starmap(_sweep_range, ranges):
-            instances += count
-            failed_all.extend(failed)
-    return SweepSummary(instances, tuple(failed_all))
+        chunk = max(256, -(-total // (workers * 4)))
+        with multiprocessing.Pool(workers) as pool:
+            failed = [found for found in pool.imap(check, range(total), chunk) if found]
+    return SweepSummary(total, tuple(failed))

@@ -53,6 +53,18 @@ class TestPhi:
         assert out.startswith("1 2 1\n")
         assert "graph phi {" in out and '"3" -- "4" [label=2, penwidth=2];' in out
 
+    def test_dot_escapes_quote_and_backslash(self, tmp_path, capsys):
+        path = write(tmp_path, "quote.split", 'K: x y\nI: a"b c\\\na"b x\nc\\ y\n')
+        assert main(["phi", path, "--dot"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            r'a"b c\ 1',
+            "graph phi {",
+            r'  "a\"b";',
+            r'  "c\\";',
+            r'  "a\"b" -- "c\\" [label=1, penwidth=1];',
+            "}",
+        ]
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["phi", str(tmp_path / "nope.split")]) == 1
         assert "cannot read" in capsys.readouterr().err

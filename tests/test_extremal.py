@@ -88,6 +88,12 @@ def test_bad_index_rejected(bad):
         build_extremal(bad)
 
 
+@pytest.mark.parametrize("bad", [0, -5, True, 2.5])
+def test_expected_multiplicities_rejects_bad_index(bad):
+    with pytest.raises(GraphError, match="n >= 1"):
+        expected_multiplicities(bad)
+
+
 def test_degree_witness_names_both_counts(monkeypatch):
     # the formula size stays n = 3 while the enumeration reports one move more
     real = splitfactor.extremal.enumerate_two_switches
