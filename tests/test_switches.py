@@ -75,6 +75,39 @@ def test_bruteforce_agreement_property(S):
     _assert_matches_bruteforce(S)
 
 
+def _brute_moves_in_order(S):
+    """The oracle's moves as (u, x, v, y) tuples, sorted by the internal
+    indices of (u, v, x, y): the exact list enumeration must return."""
+    k = S.k_size
+    moves = []
+    for deleted, _ in brute_two_switch_keys(S)[0]:
+        # clique indices come first, so each deleted edge sorts as (I-end, K-end)
+        (u, x), (v, y) = sorted(
+            (sorted(edge, key=S.index_of, reverse=True) for edge in deleted),
+            key=lambda edge: S.index_of(edge[0]),
+        )
+        assert S.index_of(x) < k <= S.index_of(u)
+        moves.append((u, x, v, y))
+    return sorted(moves, key=lambda m: [S.index_of(m[t]) for t in (0, 2, 1, 3)])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CorpusSpec("exhaustive", 3, 3),
+        CorpusSpec("random", 12, 12, count=3, seed=4242),
+        CorpusSpec("random", 5, 16, count=3, seed=7),
+        # clique masks wider than one byte
+        CorpusSpec("random", 16, 6, count=3, seed=11),
+    ],
+    ids=lambda spec: f"{spec.mode}-{spec.k_max}x{spec.i_max}",
+)
+def test_move_order_matches_sorted_bruteforce(spec):
+    for _, S in generate(spec):
+        got = [tuple(m) for m in enumerate_two_switches(S)]
+        assert got == _brute_moves_in_order(S)
+
+
 class TestApply:
     def test_exact_edge_exchange(self, demo_graph):
         after = apply_two_switch(demo_graph, TwoSwitch("1", "x", "2", "y"))
