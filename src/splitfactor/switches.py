@@ -16,7 +16,7 @@ from functools import partial
 from itertools import product
 from typing import NamedTuple
 
-from .graph import GraphError, SplitGraph, bits
+from .graph import GraphError, SplitGraph
 
 
 class TwoSwitch(NamedTuple):
@@ -45,12 +45,15 @@ def enumerate_two_switches(S: SplitGraph) -> list[TwoSwitch]:
 
     For each unordered I-pair {u, v} the moves are exactly the pairs
     (x, y) with x a private neighbor of u and y a private neighbor of v.
-    Output is sorted by internal index: (u, x, v, y) with u before v.
+    Output is sorted by the internal indices of (u, v, x, y): u before v,
+    then x, then y.
     """
     labels = S.labels
     masks = S.adj_masks
     k = S.k_size
     n = len(labels)
+    # the label of each clique vertex, keyed by its mask bit
+    label_of_bit = {1 << x: labels[x] for x in range(k)}
     out: list[TwoSwitch] = []
     for a in range(k, n):
         ma = masks[a]
@@ -62,8 +65,17 @@ def enumerate_two_switches(S: SplitGraph) -> list[TwoSwitch]:
             only_b = mb & ~ma
             if not only_b:
                 continue
-            xs = [labels[x] for x in bits(only_a)]
-            ys = [labels[y] for y in bits(only_b)]
+            # private labels in ascending index order, lowest set bit first
+            xs = []
+            while only_a:
+                low = only_a & -only_a
+                xs.append(label_of_bit[low])
+                only_a ^= low
+            ys = []
+            while only_b:
+                low = only_b & -only_b
+                ys.append(label_of_bit[low])
+                only_b ^= low
             out.extend(map(_make_move, product((labels[a],), xs, (labels[b],), ys)))
     return out
 

@@ -291,9 +291,11 @@ class _Context:
 
     ``phi`` defaults to the formula factor graph of S, and must live on S's
     independent set.  ``mult`` is phi's flat multiplicity table (entry
-    ``a * n + b``).  ``failed`` maps a law name to the witness of its first
-    failure and ``notes`` a law name to its note; a law that never failed is
-    absent from ``failed``, so witnesses are formatted only on failure.
+    ``a * n + b``), None until :meth:`table` builds it: the cycle and
+    diameter laws never read it.  ``failed`` maps a law name to the witness
+    of its first failure and ``notes`` a law name to its note; a law that
+    never failed is absent from ``failed``, so witnesses are formatted only
+    on failure.
     """
 
     __slots__ = ("phi", "labels", "n", "deg", "nmask", "mult", "nbr", "k_size", "clique_law",
@@ -308,7 +310,7 @@ class _Context:
         self.n = len(self.labels)
         self.nmask = [S.adj_masks[S.index_of(v)] for v in self.labels]
         self.deg = [m.bit_count() for m in self.nmask]
-        self.mult = phi.multiplicity_table()
+        self.mult: list[int] | None = None
         self.nbr = phi.neighbor_masks()
         self.k_size = S.k_size
         union = reduce(or_, self.nmask, 0)
@@ -317,6 +319,12 @@ class _Context:
         self.clique_law = union == (1 << S.k_size) - 1 and phi.simple_edge_count() == self.n - 1
         self.failed: dict[str, str] = {}
         self.notes: dict[str, str] = {}
+
+    def table(self) -> list[int]:
+        """phi's flat multiplicity table, built on the first call."""
+        if self.mult is None:
+            self.mult = self.phi.multiplicity_table()
+        return self.mult
 
     def fail(self, name: str, seq: Sequence[int], detail: str) -> None:
         """Record a path law's failure unless an earlier one is kept."""
@@ -336,7 +344,7 @@ def _check_pairs(ctx: _Context) -> None:
     """Pair laws over every ordered pair; the number of equal-neighborhood
     pairs, when there are any, is noted on nesting-iff-zero."""
     labels, deg, nmask, nbr, failed = ctx.labels, ctx.deg, ctx.nmask, ctx.nbr, ctx.failed
-    n, mult = ctx.n, ctx.mult
+    n, mult = ctx.n, ctx.table()
     equal_pairs = 0
     for a in range(n):
         da, Na = deg[a], nmask[a]
@@ -506,6 +514,7 @@ def _check_paths(
 ) -> None:
     """Per-path laws over the caller's paths, each validated as induced, or
     over every induced path of phi on at most ``max_len`` vertices."""
+    ctx.table()  # the per-path laws read ctx.mult
     if paths is None:
         seqs = _induced_path_indices(ctx.nbr, _path_cap(ctx.n, max_len))
     else:
