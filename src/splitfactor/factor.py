@@ -4,17 +4,22 @@ The factor graph lives on the independent set I.  The multiplicity of a
 pair {u, v} is the number of 2-switches whose deleted edges touch u and
 v, which factors as (d_u - c)(d_v - c) where c is the common neighbor
 count: each move pairs a private neighbor of u with a private neighbor
-of v.  Two builders are provided, one evaluating that product and one
-counting enumerated moves, so each serves as an oracle for the other.
+of v.  Two builders are provided, so each serves as an oracle for the
+other.  One evaluates that product from degrees and common-neighbor
+counts.  The other reads each I-pair's private neighbor labels off its
+masks, as ``enumerate_two_switches`` does, and counts the pair's moves by
+listing them, one (x, y) pair per move; it never multiplies the two
+list sizes, so a fault in the product does not carry over to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Mapping
 
 from .graph import GraphError, SplitGraph, bits
-from .switches import enumerate_two_switches
+from .switches import _private_label_pairs
 
 
 @dataclass(frozen=True)
@@ -73,10 +78,7 @@ class FactorGraph:
             mult[key] = m
             nbr[a] |= 1 << b
             nbr[b] |= 1 << a
-        self.vertices = verts
-        self._index = index
-        self._mult = mult
-        self._nbr_masks = tuple(nbr)
+        _assemble(self, verts, mult, nbr, index)
 
     def __setattr__(self, name, value):
         if hasattr(self, "_nbr_masks") and name != "_nbr_masks":
@@ -173,34 +175,67 @@ class FactorGraph:
         return DiameterSummary(connected=False, value=None, component_diameters=per_comp)
 
 
+def _assemble(
+    g: FactorGraph,
+    vertices: tuple[str, ...],
+    mult: dict[tuple[int, int], int],
+    nbr: list[int],
+    index: dict[str, int] | None = None,
+) -> FactorGraph:
+    """Fill ``g`` from index space and return it.  ``mult`` holds the positive
+    multiplicities keyed (a, b) with a < b, by position in ``vertices``,
+    ``nbr`` the matching neighbor masks and ``index`` each vertex's position
+    (built here when not given).  Nothing is checked."""
+    if index is None:
+        index = dict(zip(vertices, range(len(vertices))))
+    init = object.__setattr__  # skips the immutability guard's lookups
+    init(g, "vertices", vertices)
+    init(g, "_index", index)
+    init(g, "_mult", mult)
+    init(g, "_nbr_masks", tuple(nbr))
+    return g
+
+
 # -- builders ---------------------------------------------------------------------
 
 
 def build_by_formula(S: SplitGraph) -> FactorGraph:
     """Factor graph via the private-neighbor product, no move enumeration."""
-    labels = S.labels
-    masks = S.adj_masks
     k = S.k_size
-    n = len(labels)
-    mult: dict[tuple[str, str], int] = {}
-    for a in range(k, n):
+    masks = S.adj_masks[k:]
+    degrees = [m.bit_count() for m in masks]
+    n = len(masks)
+    mult: dict[tuple[int, int], int] = {}
+    nbr = [0] * n
+    for a in range(n):
         ma = masks[a]
-        da = ma.bit_count()
+        da = degrees[a]
         for b in range(a + 1, n):
-            mb = masks[b]
-            shared = (ma & mb).bit_count()
-            m = (da - shared) * (mb.bit_count() - shared)
+            shared = (ma & masks[b]).bit_count()
+            m = (da - shared) * (degrees[b] - shared)
             if m:
-                mult[(labels[a], labels[b])] = m
-    return FactorGraph(S.independent, mult)
+                mult[a, b] = m
+                nbr[a] |= 1 << b
+                nbr[b] |= 1 << a
+    return _assemble(object.__new__(FactorGraph), S.independent, mult, nbr)
 
 
 def build_by_enumeration(S: SplitGraph) -> FactorGraph:
-    """Factor graph by counting enumerated 2-switches per I-pair."""
-    counts: dict[tuple[str, str], int] = {}
-    for u, _, v, _ in enumerate_two_switches(S):
-        counts[u, v] = counts.get((u, v), 0) + 1
-    return FactorGraph(S.independent, counts)
+    """Factor graph by counting each I-pair's 2-switches as they are listed.
+
+    The moves of a pair are the (x, y) pairs of its private neighbor
+    labels, read off the masks as ``enumerate_two_switches`` reads them.
+    They are listed one element per move and counted, without building
+    ``TwoSwitch`` records and without multiplying the two list sizes, so
+    the count stays independent of the product ``build_by_formula`` uses.
+    """
+    mult: dict[tuple[int, int], int] = {}
+    nbr = [0] * len(S.independent)
+    for a, b, xs, ys in _private_label_pairs(S):
+        mult[a, b] = len(list(product(xs, ys)))
+        nbr[a] |= 1 << b
+        nbr[b] |= 1 << a
+    return _assemble(object.__new__(FactorGraph), S.independent, mult, nbr)
 
 
 # -- output -----------------------------------------------------------------------

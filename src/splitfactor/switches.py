@@ -12,9 +12,8 @@ first.
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import product
-from typing import NamedTuple
+from itertools import product, repeat
+from typing import Iterator, NamedTuple
 
 from .graph import GraphError, SplitGraph
 
@@ -36,26 +35,22 @@ class TwoSwitch(NamedTuple):
         return TwoSwitch(self.u, self.y, self.v, self.x)
 
 
-# Builds a TwoSwitch from a 4-tuple without running Python-level code.
-_make_move = partial(tuple.__new__, TwoSwitch)
+def _private_label_pairs(S: SplitGraph) -> Iterator[tuple[int, int, list[str], list[str]]]:
+    """Each I-pair with 2-switches, as (a, b, xs, ys).
 
-
-def enumerate_two_switches(S: SplitGraph) -> list[TwoSwitch]:
-    """All 2-switches of S, one per unordered pair of deleted edges.
-
-    For each unordered I-pair {u, v} the moves are exactly the pairs
-    (x, y) with x a private neighbor of u and y a private neighbor of v.
-    Output is sorted by the internal indices of (u, v, x, y): u before v,
-    then x, then y.
+    a < b are indices into ``S.independent``, visited in index order, and
+    xs, ys are the labels of the clique vertices adjacent to a but not b,
+    and to b but not a, in ascending index order; a pair is skipped when
+    either list would be empty.  The pair's moves are exactly the pairs
+    (x, y) with x in xs and y in ys.
     """
     labels = S.labels
-    masks = S.adj_masks
     k = S.k_size
-    n = len(labels)
+    masks = S.adj_masks[k:]
+    n = len(masks)
     # the label of each clique vertex, keyed by its mask bit
     label_of_bit = {1 << x: labels[x] for x in range(k)}
-    out: list[TwoSwitch] = []
-    for a in range(k, n):
+    for a in range(n):
         ma = masks[a]
         for b in range(a + 1, n):
             mb = masks[b]
@@ -76,7 +71,23 @@ def enumerate_two_switches(S: SplitGraph) -> list[TwoSwitch]:
                 low = only_b & -only_b
                 ys.append(label_of_bit[low])
                 only_b ^= low
-            out.extend(map(_make_move, product((labels[a],), xs, (labels[b],), ys)))
+            yield a, b, xs, ys
+
+
+def enumerate_two_switches(S: SplitGraph) -> list[TwoSwitch]:
+    """All 2-switches of S, one per unordered pair of deleted edges.
+
+    For each unordered I-pair {u, v} the moves are exactly the pairs
+    (x, y) with x a private neighbor of u and y a private neighbor of v.
+    Output is sorted by the internal indices of (u, v, x, y): u before v,
+    then x, then y.
+    """
+    independent = S.independent
+    out: list[TwoSwitch] = []
+    for a, b, xs, ys in _private_label_pairs(S):
+        # tuple.__new__ builds each TwoSwitch without Python-level code
+        moves = product((independent[a],), xs, (independent[b],), ys)
+        out.extend(map(tuple.__new__, repeat(TwoSwitch), moves))
     return out
 
 

@@ -94,6 +94,8 @@ P3_PENDANT = "p3-pendant-difference"
 P3_DECOMP = "p3-tail-decomposition"
 P3_MULT = "p3-first-multiplicity"
 DIAMETER_BOUND = "diameter-bound"
+# not a law: a sweep's record of an instance whose verification raised
+INTERNAL_ERROR = "internal-error"
 
 CHECK_NAMES: tuple[str, ...] = (
     BUILDERS_AGREE,
@@ -644,9 +646,18 @@ class SweepSummary:
 def _failures(
     spec: CorpusSpec, max_len: int | None, index: int
 ) -> tuple[str, tuple[CheckResult, ...]] | None:
-    """The id and failed checks of one corpus instance, or None when it passes."""
+    """The id and failed checks of one corpus instance, or None when it passes.
+
+    An exception raised while building or verifying the instance is that
+    instance's failure, reported as a failed ``internal-error`` check, so
+    the sweep goes on and names the instance.
+    """
     instance_name = instance_id(spec, index)
-    report = verify_all(instance(spec, index), instance=instance_name, max_len=max_len)
+    try:
+        report = verify_all(instance(spec, index), instance=instance_name, max_len=max_len)
+    except Exception as exc:
+        failure = CheckResult(INTERNAL_ERROR, False, f"{type(exc).__name__}: {exc}")
+        return instance_name, (failure,)
     return None if report.ok else (instance_name, tuple(report.failures()))
 
 

@@ -186,6 +186,24 @@ class TestSweep:
         assert main(["sweep", "--kmax", "2", "--imax", "2"]) == 0
         assert requested == [1]
 
+    def test_raising_instance_named_exit_2(self, capsys, monkeypatch):
+        import splitfactor.verify
+        from splitfactor import CorpusSpec, instance_id
+
+        real = splitfactor.verify.verify_all
+        bad = instance_id(CorpusSpec("exhaustive", 2, 2), 5)
+
+        def flaky(S, instance=None, max_len=None):
+            if instance == bad:
+                raise ZeroDivisionError("boom")
+            return real(S, instance=instance, max_len=max_len)
+
+        monkeypatch.setattr(splitfactor.verify, "verify_all", flaky)
+        assert main(["sweep", "--kmax", "2", "--imax", "2"]) == 2
+        assert capsys.readouterr().out == (
+            f"16 instances, 1 failures\n{bad}: CHECK internal-error FAIL ZeroDivisionError: boom\n"
+        )
+
     def test_budget_error_exit_1(self, capsys):
         assert main(["sweep", "--kmax", "5", "--imax", "5"]) == 1
         assert "budget" in capsys.readouterr().err

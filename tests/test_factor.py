@@ -1,18 +1,24 @@
 """Factor multigraph: the two builders, metrics, output formats."""
 
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
+import splitfactor.factor
 from splitfactor import (
     CorpusSpec,
     FactorGraph,
     GraphError,
     build_by_enumeration,
     build_by_formula,
+    corpus_size,
+    enumerate_two_switches,
     format_multiplicity_listing,
     generate,
+    instance,
     to_dot,
 )
 
@@ -60,6 +66,72 @@ def test_builders_agree_exhaustive_small():
 def test_builders_agree_property(S):
     assert build_by_formula(S) == build_by_enumeration(S)
 
+
+
+# (corpus, stride): every instance of the corpus whose index is a multiple of stride
+differential = pytest.mark.parametrize("spec, stride", [
+    pytest.param(CorpusSpec("exhaustive", 3, 3), 1, id="exhaustive-3x3"),
+    pytest.param(CorpusSpec("exhaustive", 4, 4), 13, id="exhaustive-4x4-every-13th"),
+    pytest.param(CorpusSpec("random", 12, 12, count=5, seed=4242), 1, id="random-12x12"),
+    pytest.param(CorpusSpec("random", 5, 16, count=5, seed=7), 1, id="random-5x16"),
+    # clique masks wider than one byte
+    pytest.param(CorpusSpec("random", 16, 6, count=5, seed=11), 1, id="random-16x6"),
+])
+
+
+def differential_graphs(spec, stride):
+    return [instance(spec, index) for index in range(0, corpus_size(spec), stride)]
+
+
+def move_counts(S):
+    """Moves per I-pair (u, v), u before v, counted off the move records."""
+    return Counter((m.u, m.v) for m in enumerate_two_switches(S))
+
+
+@differential
+def test_enumeration_builder_counts_the_move_records(spec, stride):
+    for S in differential_graphs(spec, stride):
+        phi = build_by_enumeration(S)
+        positive = {}
+        for u, v in combinations(S.independent, 2):
+            if phi.multiplicity(u, v):
+                positive[u, v] = phi.multiplicity(u, v)
+        assert positive == move_counts(S)
+        assert phi.size() == len(enumerate_two_switches(S))
+
+
+@differential
+def test_builders_match_the_public_constructor(spec, stride):
+    # both builders assemble in index space; the reference takes labels and validates them
+    for S in differential_graphs(spec, stride):
+        reference = FactorGraph(S.independent, move_counts(S))
+        for phi in (build_by_enumeration(S), build_by_formula(S)):
+            assert phi == reference
+            assert phi.edges() == reference.edges()
+            assert phi.neighbor_masks() == reference.neighbor_masks()
+            assert phi.multiplicity_table() == reference.multiplicity_table()
+            for v in S.independent:
+                assert phi.index_of(v) == reference.index_of(v)
+
+
+@differential
+def test_enumeration_builder_lists_one_element_per_move(spec, stride, monkeypatch):
+    # the count must come from listing the moves, never from the sizes of the
+    # private label lists, or it would repeat the formula builder's product
+    listed = []
+    real = splitfactor.factor.product
+
+    def listing(*iterables):
+        for element in real(*iterables):
+            listed.append(element)
+            yield element
+
+    monkeypatch.setattr(splitfactor.factor, "product", listing)
+    for S in differential_graphs(spec, stride):
+        listed.clear()
+        phi = build_by_enumeration(S)
+        assert listed == [(m.x, m.y) for m in enumerate_two_switches(S)]
+        assert phi.size() == len(listed)
 
 class TestFactorGraphType:
     def test_zero_multiplicities_dropped(self):

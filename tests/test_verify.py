@@ -24,6 +24,7 @@ from splitfactor import (
     enumerate_induced_cycles,
     enumerate_induced_paths,
     instance,
+    instance_id,
     is_induced_cycle,
     is_induced_path,
     sweep,
@@ -499,15 +500,16 @@ class TestVerifyAll:
         import splitfactor.factor
         import splitfactor.switches
 
+        # every 2-switch listing, records or counts, goes through this core
         calls = []
-        real = splitfactor.switches.enumerate_two_switches
+        real = splitfactor.switches._private_label_pairs
 
         def counted(S):
             calls.append(S)
             return real(S)
 
         for module in (splitfactor.factor, splitfactor.switches):
-            monkeypatch.setattr(module, "enumerate_two_switches", counted)
+            monkeypatch.setattr(module, "_private_label_pairs", counted)
         assert verify_all(demo_graph).ok
         assert len(calls) == 1
 
@@ -670,3 +672,45 @@ class TestSweep:
         ids = [instance_id for instance_id, _ in inline.failed]
         assert len(ids) == 211
         assert ids == sorted(ids, key=lambda i: int(i.rsplit("-", 1)[1]))
+
+    @staticmethod
+    def raise_on(monkeypatch, name, bad):
+        """Make ``splitfactor.verify.<name>`` raise when ``bad`` is among its
+        arguments; returns the calls' arguments, in call order."""
+        real = getattr(splitfactor.verify, name)
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(args + tuple(kwargs.values()))
+            if bad in calls[-1]:
+                raise ZeroDivisionError("boom")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(splitfactor.verify, name, flaky)
+        return calls
+
+    @pytest.mark.parametrize("name", ["verify_all", "instance"])
+    def test_raising_instance_is_named_and_sweep_goes_on(self, monkeypatch, name):
+        spec = CorpusSpec("exhaustive", 2, 2)
+        # verify_all is given the instance id, instance() the index
+        bad = instance_id(spec, 5) if name == "verify_all" else 5
+        calls = self.raise_on(monkeypatch, name, bad)
+        summary = sweep(spec)
+        assert len(calls) == 16  # every instance is still verified
+        assert summary.instances == 16 and summary.failures == 1
+        failure = CheckResult("internal-error", False, "ZeroDivisionError: boom")
+        assert summary.failed == ((instance_id(spec, 5), (failure,)),)
+        assert failure.line() == "CHECK internal-error FAIL ZeroDivisionError: boom"
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="only forked workers see the patched check",
+    )
+    def test_pooled_sweep_names_a_raising_instance(self, monkeypatch):
+        spec = CorpusSpec("exhaustive", 4, 3)
+        self.raise_on(monkeypatch, "verify_all", instance_id(spec, 3000))
+        pooled = sweep(spec, workers=2)
+        assert pooled == sweep(spec, workers=1)
+        assert pooled.instances == 4096
+        assert [i for i, _ in pooled.failed] == [instance_id(spec, 3000)]
+        assert pooled.failed[0][1][0].name == "internal-error"
