@@ -59,6 +59,7 @@ class FactorGraph:
             if v in index:
                 raise GraphError(f"duplicate vertex label: {v!r}")
             index[v] = pos
+        given: dict[tuple[int, int], int] = {}  # every entry, zeros included
         mult: dict[tuple[int, int], int] = {}
         nbr = [0] * len(verts)
         for (a_lab, b_lab), m in multiplicities.items():
@@ -69,12 +70,12 @@ class FactorGraph:
                 raise GraphError(f"loop multiplicity on {a_lab!r}")
             if type(m) is not int or m < 0:  # exact type: bool is an int subclass
                 raise GraphError(f"multiplicity of {a_lab!r}-{b_lab!r} must be a non-negative int")
-            if m == 0:
-                continue
             a, b = index[a_lab], index[b_lab]
             key = (a, b) if a < b else (b, a)
-            if key in mult and mult[key] != m:
+            if given.setdefault(key, m) != m:
                 raise GraphError(f"conflicting multiplicities for {a_lab!r}-{b_lab!r}")
+            if m == 0:
+                continue
             mult[key] = m
             nbr[a] |= 1 << b
             nbr[b] |= 1 << a

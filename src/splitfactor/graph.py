@@ -26,7 +26,7 @@ reconstructed); an explicit edge inside I is a hard error.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class GraphError(ValueError):
@@ -59,6 +59,33 @@ def _check_label(label: object) -> str:
     return label
 
 
+def _mask_labeler(clique: Sequence[str]) -> Callable[[int], tuple[str, ...]]:
+    """The function from a mask over ``clique`` to the labels of its set
+    bits, in ascending index order.  It reads them from a table holding,
+    for each 8-bit chunk of the mask, the label tuple of every chunk value,
+    and concatenates the chunks' tuples when |K| > 8."""
+    table = []
+    # an empty clique still gets one chunk, which maps mask 0 to no labels
+    for base in range(0, len(clique) or 1, 8):
+        # value v with top bit t set lists the labels of v - 2**t, then label t
+        rows: list[tuple[str, ...]] = [()]
+        for label in clique[base : base + 8]:
+            rows += [row + (label,) for row in rows]
+        table.append(tuple(rows))
+    low, *high = table
+    if not high:
+        return low.__getitem__
+
+    def labels_of(mask: int) -> tuple[str, ...]:
+        out = low[mask & 255]
+        for chunk in high:
+            mask >>= 8
+            out += chunk[mask & 255]
+        return out
+
+    return labels_of
+
+
 class SplitGraph:
     """Immutable split graph ``(S, K, I)``.
 
@@ -68,7 +95,9 @@ class SplitGraph:
     is rejected.  Loops are rejected.
     """
 
-    __slots__ = ("clique", "independent", "labels", "adj_masks", "k_size", "_index")
+    __slots__ = (
+        "clique", "independent", "labels", "adj_masks", "k_size", "_labeler", "_index"
+    )
 
     clique: tuple[str, ...]
     independent: tuple[str, ...]
@@ -118,6 +147,8 @@ class SplitGraph:
         self.labels = labels
         self.adj_masks = tuple(adj)
         self.k_size = k
+        # filled on first use by _clique_labeler; shared by derived graphs
+        self._labeler = []
         self._index = index
 
     # -- construction helpers -------------------------------------------------
@@ -134,9 +165,10 @@ class SplitGraph:
         """The graph on this partition where independent vertex j has clique
         neighborhood ``masks[j]``, a bitmask over clique indices.
 
-        Labels and the label index are shared with this graph, which has
-        already validated them; only the masks are checked: each must be an
-        ``int`` (not a ``bool``) with no bit at or above |K|.
+        Labels, the label index and the clique labeler are shared with
+        this graph, which has already validated the labels; only the masks
+        are checked: each must be an ``int`` (not a ``bool``) with no bit at
+        or above |K|.  The clique rows are rebuilt from the masks.
         """
         k = self.k_size
         i = len(self.independent)
@@ -153,15 +185,32 @@ class SplitGraph:
             for b in bits(mask):
                 adj[b] |= bit
         adj.extend(masks)
+        return self._derive(tuple(adj))
+
+    def _derive(self, adj_masks: tuple[int, ...]) -> "SplitGraph":
+        """The graph on this partition with adjacency rows ``adj_masks``,
+        sharing its labels, label index and clique labeler.  Nothing is
+        checked: the rows must already form a split graph over (K, I)."""
         g = object.__new__(SplitGraph)
         init = object.__setattr__  # skips the immutability guard's lookups
         init(g, "clique", self.clique)
         init(g, "independent", self.independent)
         init(g, "labels", self.labels)
-        init(g, "adj_masks", tuple(adj))
-        init(g, "k_size", k)
+        init(g, "adj_masks", adj_masks)
+        init(g, "k_size", self.k_size)
+        init(g, "_labeler", self._labeler)
         init(g, "_index", self._index)
         return g
+
+    def _clique_labeler(self) -> Callable[[int], tuple[str, ...]]:
+        """The function from a clique mask to the labels of its set bits, in
+        ascending index order, with its table (see ``_mask_labeler``).  Built
+        on first use, once for this partition and every graph derived from
+        it."""
+        cell = self._labeler
+        if not cell:
+            cell.append(_mask_labeler(self.clique))
+        return cell[0]
 
     # -- queries ---------------------------------------------------------------
 

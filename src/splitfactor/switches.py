@@ -35,21 +35,21 @@ class TwoSwitch(NamedTuple):
         return TwoSwitch(self.u, self.y, self.v, self.x)
 
 
-def _private_label_pairs(S: SplitGraph) -> Iterator[tuple[int, int, list[str], list[str]]]:
+def _private_label_pairs(
+    S: SplitGraph,
+) -> Iterator[tuple[int, int, tuple[str, ...], tuple[str, ...]]]:
     """Each I-pair with 2-switches, as (a, b, xs, ys).
 
     a < b are indices into ``S.independent``, visited in index order, and
-    xs, ys are the labels of the clique vertices adjacent to a but not b,
-    and to b but not a, in ascending index order; a pair is skipped when
-    either list would be empty.  The pair's moves are exactly the pairs
-    (x, y) with x in xs and y in ys.
+    xs, ys are tuples of the labels of the clique vertices adjacent to a
+    but not b, and to b but not a, in ascending index order; a pair is
+    skipped when either would be empty.  The pair's moves are exactly the
+    pairs (x, y) with x in xs and y in ys.  The labels are read from S's
+    per-partition table of clique labels, one lookup per mask byte.
     """
-    labels = S.labels
-    k = S.k_size
-    masks = S.adj_masks[k:]
+    masks = S.adj_masks[S.k_size :]
     n = len(masks)
-    # the label of each clique vertex, keyed by its mask bit
-    label_of_bit = {1 << x: labels[x] for x in range(k)}
+    labels_of = S._clique_labeler()
     for a in range(n):
         ma = masks[a]
         for b in range(a + 1, n):
@@ -60,18 +60,7 @@ def _private_label_pairs(S: SplitGraph) -> Iterator[tuple[int, int, list[str], l
             only_b = mb & ~ma
             if not only_b:
                 continue
-            # private labels in ascending index order, lowest set bit first
-            xs = []
-            while only_a:
-                low = only_a & -only_a
-                xs.append(label_of_bit[low])
-                only_a ^= low
-            ys = []
-            while only_b:
-                low = only_b & -only_b
-                ys.append(label_of_bit[low])
-                only_b ^= low
-            yield a, b, xs, ys
+            yield a, b, labels_of(only_a), labels_of(only_b)
 
 
 def enumerate_two_switches(S: SplitGraph) -> list[TwoSwitch]:
@@ -96,7 +85,9 @@ def apply_two_switch(S: SplitGraph, move: TwoSwitch) -> SplitGraph:
 
     Degrees are preserved and the result is again split over (K, I):
     only I-K edges change.  Every precondition is checked and a violation
-    names the offending edge condition.
+    names the offending edge condition.  The move flips two bits in each
+    of four adjacency rows, those of u, v, x and y; every other row, the
+    labels and the clique label table are shared with S.
     """
     u, x, v, y = move
     iu, ix = S.index_of(u), S.index_of(x)
@@ -123,9 +114,13 @@ def apply_two_switch(S: SplitGraph, move: TwoSwitch) -> SplitGraph:
         raise GraphError(f"edge {u!r}-{y!r} already present")
     if masks[iv] >> ix & 1:
         raise GraphError(f"edge {v!r}-{x!r} already present")
-    # u trades x for y and v trades y for x: the same two bits flip in both.
+    # u trades x for y and v trades y for x, so the same two clique bits
+    # flip in rows u and v, and the same two independent bits in x and y.
+    adj = list(masks)
     flip = 1 << ix | 1 << iy
-    independent = list(masks[k:])
-    independent[iu - k] ^= flip
-    independent[iv - k] ^= flip
-    return S.with_masks(independent)
+    adj[iu] ^= flip
+    adj[iv] ^= flip
+    flip = 1 << iu | 1 << iv
+    adj[ix] ^= flip
+    adj[iy] ^= flip
+    return S._derive(tuple(adj))

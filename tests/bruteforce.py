@@ -41,6 +41,30 @@ def brute_two_switch_keys(S: SplitGraph) -> tuple[set[tuple], int]:
     return keys, raw
 
 
+def brute_private_label_pairs(S: SplitGraph) -> list[tuple[int, int, list[str], list[str]]]:
+    """Each I-pair (a, b), a < b, with both private clique sets non-empty,
+    as (a, b, xs, ys): the labels adjacent to a but not b and to b but not
+    a, read off the masks one lowest set bit at a time."""
+    labels = S.labels
+    k = S.k_size
+    masks = S.adj_masks[k:]
+    out = []
+    for a in range(len(masks)):
+        for b in range(a + 1, len(masks)):
+            only_a = masks[a] & ~masks[b]
+            only_b = masks[b] & ~masks[a]
+            if not only_a or not only_b:
+                continue
+            xs, ys = [], []
+            for mask, into in ((only_a, xs), (only_b, ys)):
+                while mask:
+                    low = mask & -mask
+                    into.append(labels[low.bit_length() - 1])
+                    mask ^= low
+            out.append((a, b, xs, ys))
+    return out
+
+
 def brute_apply_two_switch(S: SplitGraph, move: tuple[str, str, str, str]) -> SplitGraph:
     """The switched graph rebuilt from labelled edges: S's I-K edges minus
     u-x and v-y, plus u-y and v-x.  Assumes the move is valid in S."""

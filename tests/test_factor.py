@@ -148,6 +148,22 @@ class TestFactorGraphType:
         with pytest.raises(GraphError, match="conflicting"):
             FactorGraph(("a", "b"), {("a", "b"): 1, ("b", "a"): 2})
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {("a", "b"): 3, ("b", "a"): 0},
+            {("a", "b"): 0, ("b", "a"): 3},
+        ],
+        ids=["positive-first", "zero-first"],
+    )
+    def test_zero_conflicting_with_positive_rejected(self, entries):
+        with pytest.raises(GraphError, match="conflicting multiplicities for"):
+            FactorGraph(("a", "b"), entries)
+
+    def test_two_zero_entries_accepted(self):
+        phi = FactorGraph(("a", "b"), {("a", "b"): 0, ("b", "a"): 0})
+        assert phi.edges() == [] and phi.simple_edge_count() == 0
+
     def test_loop_rejected(self):
         with pytest.raises(GraphError, match="loop"):
             FactorGraph(("a",), {("a", "a"): 1})

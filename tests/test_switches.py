@@ -1,5 +1,7 @@
 """2-switch enumeration and application."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,10 +15,20 @@ from splitfactor import (
     enumerate_two_switches,
     format_split_text,
     generate,
+    instance,
     parse_split_text,
+    splitmix64,
 )
+from splitfactor import corpus as corpus_module
+from splitfactor import graph as graph_module
+from splitfactor.switches import _private_label_pairs
 
-from bruteforce import brute_apply_two_switch, brute_two_switch_keys, two_switch_key
+from bruteforce import (
+    brute_apply_two_switch,
+    brute_private_label_pairs,
+    brute_two_switch_keys,
+    two_switch_key,
+)
 from test_graph import split_graphs
 
 DEMO_MOVES = [
@@ -193,3 +205,99 @@ class TestApply:
             return
         after = apply_two_switch(S, rng.choice(moves))
         assert parse_split_text(format_split_text(after)) == after
+
+
+def _assert_step(S, move, after):
+    """``after`` is S with ``move`` applied: it equals the graph that
+    ``with_masks`` rebuilds from the flipped I-masks, K rows included, and
+    every K-row bit mirrors the matching I-row bit."""
+    k = S.k_size
+    iu, ix, iv, iy = (S.index_of(label) for label in move)
+    flip = 1 << ix | 1 << iy
+    masks = list(S.adj_masks[k:])
+    masks[iu - k] ^= flip
+    masks[iv - k] ^= flip
+    assert after == S.with_masks(masks)
+    rows = after.adj_masks
+    assert type(rows) is tuple and all(type(row) is int for row in rows)
+    for x in range(k):
+        for u in range(k, len(rows)):
+            assert rows[x] >> u & 1 == rows[u] >> x & 1
+
+
+# measured with every step rebuilt whole through with_masks, independently of
+# the row flips: SHA-256 of repr(adj_masks) after the last step, and the
+# number of moves summed over every visited state
+WALK_DIGEST = "b5b03da21aecfd5f3dd06a92b0494f25e6a7ff7875dbe4065632ba1481b566ed"
+WALK_MOVES = 1_199_038
+
+
+def test_walk_pinned():
+    S = instance(CorpusSpec("random", 12, 12, count=1, seed=4242), 0)
+    total = 0
+    for t in range(2000):
+        moves = enumerate_two_switches(S)
+        total += len(moves)
+        move = moves[splitmix64(7, t) % len(moves)]
+        after = apply_two_switch(S, move)
+        _assert_step(S, move, after)
+        S = after
+    assert hashlib.sha256(repr(S.adj_masks).encode()).hexdigest() == WALK_DIGEST
+    assert total == WALK_MOVES
+
+
+def test_every_move_of_exhaustive_3x3_steps_exactly():
+    for _, S in generate(CorpusSpec("exhaustive", 3, 3)):
+        for move in enumerate_two_switches(S):
+            _assert_step(S, move, apply_two_switch(S, move))
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 8, 9, 16, 17, 63])
+def test_private_labels_match_low_bit_oracle(k):
+    """The per-byte label table agrees with the low-bit loop at every
+    chunk boundary, on dense and on sparse seeded masks."""
+    S = SplitGraph([f"x{j}" for j in range(k)], [f"y{j}" for j in range(8)])
+    k_mask = (1 << k) - 1
+    for trial in range(20):
+        draws = [splitmix64(k, 16 * trial + j) for j in range(16)]
+        for masks in (draws[:8], [a & b for a, b in zip(draws[:8], draws[8:])]):
+            G = S.with_masks([m & k_mask for m in masks])
+            got = list(_private_label_pairs(G))
+            assert all(type(xs) is tuple and type(ys) is tuple for *_, xs, ys in got)
+            assert [(a, b, list(xs), list(ys)) for a, b, xs, ys in got] == (
+                brute_private_label_pairs(G)
+            )
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Partitions whose clique label table gets built, one entry per build.
+    Corpus graphs start from a fresh per-size cache, so no earlier test has
+    built their table."""
+    built = []
+    real = graph_module._mask_labeler
+
+    def counted(clique):
+        built.append(tuple(clique))
+        return real(clique)
+
+    monkeypatch.setattr(graph_module, "_mask_labeler", counted)
+    monkeypatch.setattr(corpus_module, "_empty_cache", {})
+    return built
+
+
+def test_label_table_built_once_per_walk(table_builds):
+    S = instance(CorpusSpec("random", 12, 12, count=1, seed=4242), 0)
+    for t in range(100):
+        moves = enumerate_two_switches(S)
+        S = apply_two_switch(S, moves[splitmix64(7, t) % len(moves)])
+    assert table_builds == [S.clique]
+
+
+def test_label_table_built_once_per_corpus_partition(table_builds):
+    specs = [CorpusSpec("exhaustive", 3, 3), CorpusSpec("random", 10, 5, count=200, seed=3)]
+    for spec in specs:
+        for _, S in generate(spec):
+            enumerate_two_switches(S)
+        enumerate_two_switches(instance(spec, 0).with_masks([0] * spec.i_max))
+    assert table_builds == [instance(spec, 0).clique for spec in specs]
