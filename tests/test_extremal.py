@@ -7,11 +7,13 @@ from splitfactor import (
     EXTREMAL_CHECK_NAMES,
     FactorGraph,
     GraphError,
+    SplitGraph,
     build_by_formula,
     build_extremal,
     expected_multiplicities,
     verify_extremal,
 )
+from splitfactor.extremal import ExtremalInstance
 
 # multiplicities along the factor path, small members frozen by hand
 EXPECTED_PATTERNS = {
@@ -107,6 +109,87 @@ def test_degree_witness_names_both_counts(monkeypatch):
     assert degree.line() == (
         "CHECK extremal-switch-degree FAIL n=3; factor size 3, 4 enumerated moves"
     )
+
+
+def _member_4_as(n):
+    # the n = 4 graph (4 moves, a factor path of length 3) claimed as member n
+    return ExtremalInstance(n, build_extremal(4).graph, build_extremal(n).expected_factor)
+
+
+def _edgeless():
+    # p sees all of K and q, r, s see none of it, so S has no 2-switch
+    S = SplitGraph.from_neighborhoods(
+        ["a", "b", "c"], {"p": {"a", "b", "c"}, "q": (), "r": (), "s": ()}
+    )
+    return ExtremalInstance(3, S, FactorGraph(S.independent, {}))
+
+
+def _reversed_member(n):
+    # I listed from its far end, so the path is found against the pattern
+    inst = build_extremal(n)
+    S = inst.graph
+    flipped = SplitGraph.from_neighborhoods(
+        S.clique, {y: S.neighborhood(y) for y in reversed(S.independent)}
+    )
+    expected = FactorGraph(
+        flipped.independent, {(u, v): m for u, v, m in inst.expected_factor.edges()}
+    )
+    return ExtremalInstance(n, flipped, expected)
+
+
+@pytest.mark.parametrize(
+    "make, lines",
+    [
+        (
+            lambda: _member_4_as(3),
+            [
+                "CHECK extremal-switch-degree FAIL n=3; factor size 4, 4 enumerated moves",
+                "CHECK extremal-path-shape FAIL n=3; factor graph is not a path of length 2",
+                "CHECK extremal-multiplicity-pattern FAIL n=3; multiplicities along the path are off",
+                "CHECK extremal-factor-exact FAIL n=3; recomputed factor differs from construction",
+                "CHECK extremal-diameter-sharp FAIL n=3; diameter 3, bound 3, want 2",
+            ],
+        ),
+        (
+            lambda: _member_4_as(5),
+            [
+                "CHECK extremal-switch-degree FAIL n=5; factor size 4, 4 enumerated moves",
+                "CHECK extremal-path-shape PASS",
+                "CHECK extremal-multiplicity-pattern FAIL n=5; multiplicities along the path are off",
+                "CHECK extremal-factor-exact FAIL n=5; recomputed factor differs from construction",
+                "CHECK extremal-diameter-sharp PASS",
+            ],
+        ),
+        (
+            _edgeless,
+            [
+                "CHECK extremal-switch-degree FAIL n=3; factor size 0, 0 enumerated moves",
+                "CHECK extremal-path-shape FAIL n=3; factor graph is not a path of length 2",
+                "CHECK extremal-multiplicity-pattern FAIL n=3; multiplicities along the path are off",
+                "CHECK extremal-factor-exact PASS",
+                "CHECK extremal-diameter-sharp FAIL n=3; diameter None, bound 1, want 2",
+            ],
+        ),
+        (
+            lambda: _reversed_member(7),
+            [f"CHECK {name} PASS" for name in EXTREMAL_CHECK_NAMES],
+        ),
+    ],
+    ids=["member-4-as-3", "member-4-as-5", "edgeless-as-3", "member-7-reversed"],
+)
+def test_every_witness_pinned(make, lines):
+    results = verify_extremal(make())
+    assert [r.line() for r in results] == lines
+    assert all(r.note is None for r in results)
+
+
+def test_reversed_member_walks_the_path_backwards():
+    # the spanning path starts at I's first vertex, the far end of the pattern
+    inst = _reversed_member(7)
+    phi = build_by_formula(inst.graph)
+    order = splitfactor.extremal._spanning_path(phi)
+    along = [phi.multiplicity(a, b) for a, b in zip(order, order[1:])]
+    assert along == expected_multiplicities(7)[::-1] != expected_multiplicities(7)
 
 
 def test_large_member_verifies():
