@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .factor import FactorGraph, build_by_formula
+from .factor import FactorGraph
 from .graph import GraphError, SplitGraph
 from .switches import enumerate_two_switches
-from .verify import CheckResult
+from .verify import CheckResult, _Context
 
 EXTREMAL_DEGREE = "extremal-switch-degree"
 EXTREMAL_PATH = "extremal-path-shape"
@@ -109,62 +109,36 @@ def _spanning_path(phi: FactorGraph) -> tuple[str, ...] | None:
 
 
 def verify_extremal(inst: ExtremalInstance) -> list[CheckResult]:
-    """Recompute the factor graph and check every promised property."""
-    n = inst.n
-    phi = build_by_formula(inst.graph)
-    length = inst.path_length
-    results: list[CheckResult] = []
+    """Recompute the factor graph and check every promised property.
+
+    Runs on a check context over the instance's graph, whose formula factor
+    graph is the one checked; results come in ``EXTREMAL_CHECK_NAMES``
+    order, each failure with its witness.
+    """
+    ctx = _Context(inst.graph)
+    phi, n, length, failed = ctx.phi, inst.n, inst.path_length, ctx.failed
 
     moves = len(enumerate_two_switches(inst.graph))
-    degree_ok = phi.size() == n and moves == n
-    results.append(
-        CheckResult(
-            EXTREMAL_DEGREE,
-            degree_ok,
-            None if degree_ok else f"n={n}; factor size {phi.size()}, {moves} enumerated moves",
-        )
-    )
+    if phi.size() != n or moves != n:
+        failed[EXTREMAL_DEGREE] = f"n={n}; factor size {phi.size()}, {moves} enumerated moves"
 
     order = _spanning_path(phi)
-    shape_ok = order is not None and len(order) == length + 1
-    results.append(
-        CheckResult(
-            EXTREMAL_PATH,
-            shape_ok,
-            None if shape_ok else f"n={n}; factor graph is not a path of length {length}",
-        )
-    )
+    if order is None or len(order) != length + 1:
+        failed[EXTREMAL_PATH] = f"n={n}; factor graph is not a path of length {length}"
 
     pattern_ok = False
     if order is not None:
-        along = [phi.multiplicity(order[t], order[t + 1]) for t in range(len(order) - 1)]
+        along = [phi.multiplicity(a, b) for a, b in zip(order, order[1:])]
         expected = expected_multiplicities(n)
         pattern_ok = along == expected or along[::-1] == expected
-    results.append(
-        CheckResult(
-            EXTREMAL_PATTERN,
-            pattern_ok,
-            None if pattern_ok else f"n={n}; multiplicities along the path are off",
-        )
-    )
+    if not pattern_ok:
+        failed[EXTREMAL_PATTERN] = f"n={n}; multiplicities along the path are off"
 
-    exact_ok = phi == inst.expected_factor
-    results.append(
-        CheckResult(
-            EXTREMAL_EXACT,
-            exact_ok,
-            None if exact_ok else f"n={n}; recomputed factor differs from construction",
-        )
-    )
+    if phi != inst.expected_factor:
+        failed[EXTREMAL_EXACT] = f"n={n}; recomputed factor differs from construction"
 
-    summary = phi.diameter()
+    diam = phi.diameter()
     bound = (phi.size() + 2) // 2
-    diam_ok = summary.connected and summary.value == length and bound == length
-    results.append(
-        CheckResult(
-            EXTREMAL_DIAMETER,
-            diam_ok,
-            None if diam_ok else f"n={n}; diameter {summary.value}, bound {bound}, want {length}",
-        )
-    )
-    return results
+    if not (diam.connected and diam.value == length and bound == length):
+        failed[EXTREMAL_DIAMETER] = f"n={n}; diameter {diam.value}, bound {bound}, want {length}"
+    return ctx.results(EXTREMAL_CHECK_NAMES)

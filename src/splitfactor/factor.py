@@ -82,9 +82,13 @@ class FactorGraph:
         _assemble(self, verts, mult, nbr, index)
 
     def __setattr__(self, name, value):
-        if hasattr(self, "_nbr_masks") and name != "_nbr_masks":
+        # _nbr_masks is set last, by _assemble and by pickle and copy, which follow __slots__
+        if hasattr(self, "_nbr_masks"):
             raise AttributeError("FactorGraph is immutable")
         object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError("FactorGraph is immutable")
 
     # -- queries --------------------------------------------------------------
 

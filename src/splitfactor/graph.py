@@ -215,9 +215,13 @@ class SplitGraph:
     # -- queries ---------------------------------------------------------------
 
     def __setattr__(self, name, value):
-        if hasattr(self, "_index") and name != "_index":
+        # _index is set last, by __init__ and by pickle and copy, which follow __slots__
+        if hasattr(self, "_index"):
             raise AttributeError("SplitGraph is immutable")
         object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError("SplitGraph is immutable")
 
     def index_of(self, label: str) -> int:
         try:
@@ -279,7 +283,7 @@ def parse_split_text(text: str) -> SplitGraph:
     """Parse the split-graph text format; raises ParseError with line numbers."""
     clique: tuple[str, ...] | None = None
     independent: tuple[str, ...] | None = None
-    header_line = 1
+    header_line = clique_line = 1
     edges: list[tuple[str, str]] = []
     edge_lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -290,7 +294,7 @@ def parse_split_text(text: str) -> SplitGraph:
             if not line.startswith("K:"):
                 raise ParseError(lineno, f"expected 'K:' header, got {raw!r}")
             clique = tuple(line[2:].split())
-            header_line = lineno
+            header_line = clique_line = lineno
             continue
         if independent is None:
             if not line.startswith("I:"):
@@ -307,6 +311,10 @@ def parse_split_text(text: str) -> SplitGraph:
         raise ParseError(1, "missing 'K:' header")
     if independent is None:
         raise ParseError(header_line, "missing 'I:' header")
+    try:
+        SplitGraph(clique, ())  # a bad K label is the K: line's fault
+    except GraphError as exc:
+        raise ParseError(clique_line, str(exc)) from None
     try:
         return SplitGraph(clique, independent, edges)
     except GraphError as exc:

@@ -297,7 +297,7 @@ class _Context:
     diameter laws never read it.  ``failed`` maps a law name to the witness
     of its first failure and ``notes`` a law name to its note; a law that
     never failed is absent from ``failed``, so witnesses are formatted only
-    on failure.
+    on failure.  ``verify_extremal`` records its five checks on one too.
     """
 
     __slots__ = ("phi", "labels", "n", "deg", "nmask", "mult", "nbr", "k_size", "clique_law",

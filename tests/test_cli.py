@@ -94,6 +94,12 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("splitfactor: error: line 3:")
 
+    def test_bad_clique_label_blamed_on_k_line(self, tmp_path, capsys):
+        f = write(tmp_path, "dup.split", "K: x x\nI: 1\n")
+        assert main(["verify", f]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("splitfactor: error: line 1: duplicate vertex label: 'x'")
+
 
 class TestMoves:
     def test_listing(self, demo_file, capsys):

@@ -1,5 +1,7 @@
 """Factor multigraph: the two builders, metrics, output formats."""
 
+import copy
+import pickle
 import random
 from collections import Counter
 from itertools import combinations
@@ -202,6 +204,35 @@ class TestFactorGraphType:
         phi = FactorGraph(("a",), {})
         with pytest.raises(AttributeError):
             phi.vertices = ()
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda phi: setattr(phi, "_nbr_masks", (0, 0)),
+            lambda phi: delattr(phi, "vertices"),
+            lambda phi: delattr(phi, "_nbr_masks"),
+        ],
+        ids=["set-sentinel", "del-public", "del-sentinel"],
+    )
+    def test_immutable_sentinel_and_delete(self, mutate):
+        phi = FactorGraph(("1", "2"), {("1", "2"): 3})
+        with pytest.raises(AttributeError, match="FactorGraph is immutable"):
+            mutate(phi)
+        assert phi.neighbors("1") == ("2",)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda phi: pickle.loads(pickle.dumps(phi)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_round_trips_past_the_guard(self, demo_graph, clone):
+        # each restores slots in __slots__ order, so _nbr_masks must stay last
+        phi = build_by_formula(demo_graph)
+        twin = clone(phi)
+        assert twin == phi and twin is not phi
+        assert twin.neighbor_masks() == phi.neighbor_masks()
+        with pytest.raises(AttributeError):
+            twin.vertices = ()
 
 
 class TestDiameter:

@@ -1,5 +1,7 @@
 """Core graph type: construction invariants, text format, recognition."""
 
+import copy
+import pickle
 import random
 from itertools import combinations
 
@@ -79,6 +81,33 @@ class TestConstruction:
     def test_immutable(self, demo_graph):
         with pytest.raises(AttributeError):
             demo_graph.k_size = 0
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda S: setattr(S, "_index", {}),
+            lambda S: delattr(S, "adj_masks"),
+            lambda S: delattr(S, "_index"),
+        ],
+        ids=["set-sentinel", "del-public", "del-sentinel"],
+    )
+    def test_immutable_sentinel_and_delete(self, demo_graph, mutate):
+        with pytest.raises(AttributeError, match="SplitGraph is immutable"):
+            mutate(demo_graph)
+        assert demo_graph.index_of("1") == 4
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda S: pickle.loads(pickle.dumps(S)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_round_trips_past_the_guard(self, demo_graph, clone):
+        # each restores slots in __slots__ order, so _index must stay last
+        twin = clone(demo_graph)
+        assert twin == demo_graph and twin is not demo_graph
+        assert twin.index_of("4") == demo_graph.index_of("4")
+        with pytest.raises(AttributeError):
+            twin.k_size = 0
 
     def test_from_neighborhoods_matches_explicit_edges(self, demo_graph):
         explicit = SplitGraph(
@@ -207,6 +236,25 @@ class TestTextFormat:
         with pytest.raises(ParseError, match="independent-set") as exc:
             parse_split_text("K: x\nI: 1 2\n1 x\n1 2\n")
         assert exc.value.lineno == 4
+
+    @pytest.mark.parametrize(
+        "text, message, lineno",
+        [
+            ("K: x x\nI: 1\n", "duplicate vertex label: 'x'", 1),
+            ("K: x #y\nI: 1\n", "may not start with '#'", 1),
+            ("# comment\n\nK: x x\nI: 1\n1 x\n", "duplicate vertex label: 'x'", 3),
+        ],
+        ids=["duplicate", "hash", "after-comments"],
+    )
+    def test_bad_clique_label_blamed_on_k_line(self, text, message, lineno):
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_split_text(text)
+        assert exc.value.lineno == lineno
+
+    def test_malformed_edge_line_before_bad_clique_label(self):
+        with pytest.raises(ParseError, match="expected an edge line") as exc:
+            parse_split_text("K: x x\nI: 1\n1\n")
+        assert exc.value.lineno == 3
 
     def test_duplicate_label_blamed_on_header(self):
         with pytest.raises(ParseError, match="duplicate") as exc:
