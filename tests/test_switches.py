@@ -111,13 +111,16 @@ def _brute_moves_in_order(S):
         CorpusSpec("random", 5, 16, count=3, seed=7),
         # clique masks wider than one byte
         CorpusSpec("random", 16, 6, count=3, seed=11),
+        # wider than two bytes
+        CorpusSpec("random", 17, 6, count=3, seed=11),
     ],
     ids=lambda spec: f"{spec.mode}-{spec.k_max}x{spec.i_max}",
 )
 def test_move_order_matches_sorted_bruteforce(spec):
     for _, S in generate(spec):
-        got = [tuple(m) for m in enumerate_two_switches(S)]
-        assert got == _brute_moves_in_order(S)
+        moves = enumerate_two_switches(S)
+        assert all(type(m) is TwoSwitch for m in moves)
+        assert [tuple(m) for m in moves] == _brute_moves_in_order(S)
 
 
 class TestApply:
@@ -252,7 +255,7 @@ def test_every_move_of_exhaustive_3x3_steps_exactly():
             _assert_step(S, move, apply_two_switch(S, move))
 
 
-@pytest.mark.parametrize("k", [0, 1, 7, 8, 9, 16, 17, 63])
+@pytest.mark.parametrize("k", [0, 1, 7, 8, 9, 12, 15, 16, 17, 63])
 def test_private_labels_match_low_bit_oracle(k):
     """The per-byte label table agrees with the low-bit loop at every
     chunk boundary, on dense and on sparse seeded masks."""
