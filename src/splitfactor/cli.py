@@ -16,8 +16,8 @@ from .factor import build_by_formula, format_multiplicity_listing, to_dot
 from .graph import (
     GraphError,
     SplitGraph,
-    load_split_file,
     format_split_text,
+    parse_split_text,
     recognize_split,
 )
 from .switches import enumerate_two_switches
@@ -69,11 +69,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load(path: str) -> SplitGraph:
+def _read(path: str) -> str:
+    """The text of a UTF-8 file; one that cannot be read or decoded raises
+    GraphError, so the command ends in one error line."""
     try:
-        return load_split_file(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
-        raise GraphError(f"cannot read {path}: {exc.strerror or exc}") from None
+        reason = exc.strerror or str(exc)
+    except UnicodeDecodeError as exc:
+        reason = str(exc)
+    raise GraphError(f"cannot read {path}: {reason}")
+
+
+def _load(path: str) -> SplitGraph:
+    return parse_split_text(_read(path))
 
 
 def _resolve_workers(requested: int | None) -> int:
@@ -122,11 +132,7 @@ def _cmd_moves(args) -> int:
 
 
 def _parse_edge_list(path: str) -> tuple[list[str], list[tuple[str, str]]]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise GraphError(f"cannot read {path}: {exc.strerror or exc}") from None
+    text = _read(path)
     vertices: list[str] = []
     edges: list[tuple[str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

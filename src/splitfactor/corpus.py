@@ -82,12 +82,6 @@ def _empty_graph(k: int, i: int) -> SplitGraph:
     return _empty_cache[key]
 
 
-def corpus_labels(k: int, i: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Standard labels: clique x1..xk, independent y1..yi."""
-    empty = _empty_graph(k, i)
-    return empty.clique, empty.independent
-
-
 def corpus_size(spec: CorpusSpec) -> int:
     if spec.mode == "exhaustive":
         return 1 << (spec.k_max * spec.i_max)

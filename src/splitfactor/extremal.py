@@ -113,8 +113,10 @@ def verify_extremal(inst: ExtremalInstance) -> list[CheckResult]:
 
     Runs on a check context over the instance's graph, whose formula factor
     graph is the one checked; results come in ``EXTREMAL_CHECK_NAMES``
-    order, each failure with its witness.
+    order, each failure with its witness.  An index n that is not an
+    integer >= 1 raises ``GraphError`` before any check runs.
     """
+    _check_index(inst.n)
     ctx = _Context(inst.graph)
     phi, n, length, failed = ctx.phi, inst.n, inst.path_length, ctx.failed
 

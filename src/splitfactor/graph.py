@@ -63,7 +63,8 @@ def _mask_labeler(clique: Sequence[str]) -> Callable[[int], tuple[str, ...]]:
     """The function from a mask over ``clique`` to the labels of its set
     bits, in ascending index order.  It reads them from a table holding,
     for each 8-bit chunk of the mask, the label tuple of every chunk value,
-    and concatenates the chunks' tuples when |K| > 8."""
+    and concatenates the chunks' tuples when |K| > 8: with two lookups and
+    no loop up to |K| = 16, chunk by chunk beyond."""
     table = []
     # an empty clique still gets one chunk, which maps mask 0 to no labels
     for base in range(0, len(clique) or 1, 8):
@@ -75,6 +76,13 @@ def _mask_labeler(clique: Sequence[str]) -> Callable[[int], tuple[str, ...]]:
     low, *high = table
     if not high:
         return low.__getitem__
+    if len(high) == 1:
+        (top,) = high
+
+        def two_chunks(mask: int) -> tuple[str, ...]:
+            return low[mask & 255] + top[mask >> 8]
+
+        return two_chunks
 
     def labels_of(mask: int) -> tuple[str, ...]:
         out = low[mask & 255]

@@ -12,7 +12,7 @@ first.
 
 from __future__ import annotations
 
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from typing import Iterator, NamedTuple
 
 from .graph import GraphError, SplitGraph
@@ -72,12 +72,13 @@ def enumerate_two_switches(S: SplitGraph) -> list[TwoSwitch]:
     then x, then y.
     """
     independent = S.independent
-    out: list[TwoSwitch] = []
-    for a, b, xs, ys in _private_label_pairs(S):
-        # tuple.__new__ builds each TwoSwitch without Python-level code
-        moves = product((independent[a],), xs, (independent[b],), ys)
-        out.extend(map(tuple.__new__, repeat(TwoSwitch), moves))
-    return out
+    moves = chain.from_iterable(
+        product((independent[a],), xs, (independent[b],), ys)
+        for a, b, xs, ys in _private_label_pairs(S)
+    )
+    # one pass over every pair's moves; tuple.__new__ builds each TwoSwitch
+    # without Python-level code
+    return list(map(tuple.__new__, repeat(TwoSwitch), moves))
 
 
 def apply_two_switch(S: SplitGraph, move: TwoSwitch) -> SplitGraph:

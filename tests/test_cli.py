@@ -70,6 +70,16 @@ class TestPhi:
         assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "recognize"])
+def test_non_utf8_file_exit_1(tmp_path, capsys, command):
+    f = tmp_path / "latin.split"
+    f.write_bytes(b"K: a\nI: \xff\xfe\n")
+    assert main([command, str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"splitfactor: error: cannot read {f}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestVerify:
     def test_all_checks_pass(self, demo_file, capsys):
         assert main(["verify", demo_file]) == 0

@@ -12,7 +12,6 @@ from splitfactor import (
     instance_id,
     splitmix64,
 )
-from splitfactor.corpus import corpus_labels
 
 from bruteforce import brute_instance
 
@@ -159,12 +158,6 @@ class TestRandom:
         assert len(list(generate(spec, 2, 5))) == 3
         with pytest.raises(GraphError, match="range"):
             list(generate(spec, 5, 11))
-
-
-def test_corpus_labels_shape():
-    clique, independent = corpus_labels(3, 2)
-    assert clique == ("x1", "x2", "x3")
-    assert independent == ("y1", "y2")
 
 
 def test_generated_graphs_are_valid():

@@ -116,12 +116,26 @@ def _member_4_as(n):
     return ExtremalInstance(n, build_extremal(4).graph, build_extremal(n).expected_factor)
 
 
-def _edgeless():
+def _edgeless(n=3):
     # p sees all of K and q, r, s see none of it, so S has no 2-switch
     S = SplitGraph.from_neighborhoods(
         ["a", "b", "c"], {"p": {"a", "b", "c"}, "q": (), "r": (), "s": ()}
     )
-    return ExtremalInstance(3, S, FactorGraph(S.independent, {}))
+    return ExtremalInstance(n, S, FactorGraph(S.independent, {}))
+
+
+def _member_1_as(n):
+    inst = build_extremal(1)
+    return ExtremalInstance(n, inst.graph, inst.expected_factor)
+
+
+@pytest.mark.parametrize("bad", [0, -3, True, 2.5, "x"])
+@pytest.mark.parametrize("make", [_edgeless, _member_1_as], ids=["edgeless", "member-1"])
+def test_verify_rejects_bad_index(make, bad):
+    # rejected before any check, whether or not the factor graph is a path
+    with pytest.raises(GraphError) as exc:
+        verify_extremal(make(bad))
+    assert str(exc.value) == f"extremal family is indexed by integers n >= 1, got {bad!r}"
 
 
 def _reversed_member(n):
