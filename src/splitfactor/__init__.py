@@ -35,7 +35,6 @@ from .graph import (
     ParseError,
     SplitGraph,
     format_split_text,
-    load_split_file,
     parse_split_text,
     recognize_split,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "instance_id",
     "is_induced_cycle",
     "is_induced_path",
-    "load_split_file",
     "parse_split_text",
     "recognize_split",
     "splitmix64",

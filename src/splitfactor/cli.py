@@ -15,6 +15,7 @@ from .extremal import build_extremal, verify_extremal
 from .factor import build_by_formula, format_multiplicity_listing, to_dot
 from .graph import (
     GraphError,
+    ParseError,
     SplitGraph,
     format_split_text,
     parse_split_text,
@@ -144,7 +145,7 @@ def _parse_edge_list(path: str) -> tuple[list[str], list[tuple[str, str]]]:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise GraphError(f"line {lineno}: expected an edge line 'u v', got {raw!r}")
+            raise ParseError(lineno, f"expected an edge line 'u v', got {raw!r}")
         edges.append((parts[0], parts[1]))
     return vertices, edges
 
@@ -181,11 +182,11 @@ def _cmd_sweep(args) -> int:
     shown = 0
     for instance_id, failures in summary.failed:
         for check in failures:
-            print(f"{instance_id}: {check.line()}")
-            shown += 1
-            if shown >= 50:
+            if shown == 50:
                 print("... (more failures suppressed)")
                 return 2
+            print(f"{instance_id}: {check.line()}")
+            shown += 1
     return 0 if summary.ok else 2
 
 

@@ -135,10 +135,6 @@ class FactorGraph:
     def simple_edge_count(self) -> int:
         return len(self._mult)
 
-    def underlying_simple(self) -> dict[str, frozenset[str]]:
-        """Adjacency of the simple view: neighbors = positive-multiplicity pairs."""
-        return {v: frozenset(self.neighbors(v)) for v in self.vertices}
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FactorGraph):
             return NotImplemented

@@ -134,14 +134,10 @@ class SplitGraph:
         for a in range(k):
             adj[a] = k_mask ^ (1 << a)
         for a_lab, b_lab in edges:
-            try:
-                a = index[a_lab]
-            except KeyError:
-                raise GraphError(f"edge references unknown vertex {a_lab!r}") from None
-            try:
-                b = index[b_lab]
-            except KeyError:
-                raise GraphError(f"edge references unknown vertex {b_lab!r}") from None
+            if a_lab not in index or b_lab not in index:
+                bad = a_lab if a_lab not in index else b_lab
+                raise GraphError(f"edge references unknown vertex {bad!r}")
+            a, b = index[a_lab], index[b_lab]
             if a == b:
                 raise GraphError(f"loop on vertex {a_lab!r}")
             if a >= k and b >= k:
@@ -353,11 +349,6 @@ def format_split_text(S: SplitGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_split_file(path: str) -> SplitGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_split_text(fh.read())
-
-
 # -- recognition ------------------------------------------------------------------
 
 
@@ -370,10 +361,11 @@ def recognize_split(
     |K|.  The base partition comes from the degree-sequence splittance
     test (sort degrees non-increasing, m = max{i : d_i >= i-1}; the graph
     is split iff sum of the top m degrees equals m(m-1) + sum of the
-    rest, in which case the top m vertices form a clique).  If some
-    leftover vertex is adjacent to all of that clique, the
-    lexicographically smallest such swing vertex is moved into K; at most
-    one move is ever possible.
+    rest, in which case the top m vertices form a clique).  That clique
+    is maximum: m is the last i with d_i >= i-1, so d_{m+1} <= m-1, and
+    every vertex outside the top m has degree below m = |K| and misses
+    some vertex of K (Hammer and Simeone, "The splittance of a graph",
+    Combinatorica 1, 1981).
     """
     adj: dict[str, set[str]] = {}
     for v in vertices:
@@ -396,16 +388,5 @@ def recognize_split(
             m = i
     if sum(deg[:m]) != m * (m - 1) + sum(deg[m:]):
         return None
-    k_set = set(order[:m])
-    rest = order[m:]
-    swing = None
-    for v in sorted(rest):
-        if k_set <= adj[v]:
-            swing = v
-            break
-    if swing is not None:
-        k_set.add(swing)
-    clique = sorted(k_set)
-    indep = sorted(v for v in adj if v not in k_set)
     all_edges = [(a, b) for a in adj for b in adj[a] if a < b]
-    return SplitGraph(clique, indep, all_edges)
+    return SplitGraph(sorted(order[:m]), sorted(order[m:]), all_edges)

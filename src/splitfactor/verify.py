@@ -152,9 +152,6 @@ class VerificationReport:
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
 
-    def lines(self) -> list[str]:
-        return [c.line() for c in self.checks]
-
 
 # -- induced path / cycle machinery ------------------------------------------------
 

@@ -173,6 +173,16 @@ def brute_is_induced(phi: FactorGraph, seq: tuple[str, ...], closed: bool) -> bo
     return True
 
 
+def brute_simple_view(phi: FactorGraph) -> dict[str, frozenset[str]]:
+    """Adjacency map of phi's simple view, rebuilt from its listed edges
+    rather than from the neighbor masks its own searches walk."""
+    simple: dict[str, set[str]] = {v: set() for v in phi.vertices}
+    for u, v, _ in phi.edges():
+        simple[u].add(v)
+        simple[v].add(u)
+    return {v: frozenset(ws) for v, ws in simple.items()}
+
+
 def brute_diameter(simple: dict[str, frozenset[str]]) -> tuple[bool, int | None]:
     """(connected, diameter) of a simple adjacency map via dict BFS."""
     verts = list(simple)

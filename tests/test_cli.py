@@ -143,7 +143,9 @@ class TestRecognize:
     def test_malformed_line_exit_1(self, tmp_path, capsys):
         f = write(tmp_path, "bad.edges", "a b c\n")
         assert main(["recognize", f]) == 1
-        assert "line 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "splitfactor: error: line 1: expected an edge line 'u v', got 'a b c'\n"
+        )
 
 
 class TestExtremal:
@@ -160,6 +162,20 @@ class TestExtremal:
     def test_bad_index_exit_1(self, capsys):
         assert main(["extremal", "0"]) == 1
         assert "n >= 1" in capsys.readouterr().err
+
+    def test_failed_check_exit_2(self, capsys, monkeypatch):
+        import splitfactor.cli
+        from splitfactor import CheckResult
+
+        failed = CheckResult("extremal-path-shape", False, "n=1; factor graph is not a path")
+        monkeypatch.setattr(
+            splitfactor.cli, "verify_extremal",
+            lambda inst: [CheckResult("extremal-switch-degree", True), failed],
+        )
+        assert main(["extremal", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "K: x1 x2\nI: y1 y2\ny1 x1\ny2 x2\n"
+        assert err == f"{failed.line()}\n"
 
 
 class TestSweep:
@@ -219,6 +235,24 @@ class TestSweep:
         assert capsys.readouterr().out == (
             f"16 instances, 1 failures\n{bad}: CHECK internal-error FAIL ZeroDivisionError: boom\n"
         )
+
+    @pytest.mark.parametrize("count, suppressed", [(50, False), (51, True)])
+    def test_failure_lines_capped_at_50(self, capsys, monkeypatch, count, suppressed):
+        import splitfactor.verify
+
+        def broken(S, instance=None, max_len=None):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr(splitfactor.verify, "verify_all", broken)
+        argv = ["sweep", "--kmax", "2", "--imax", "2", "--mode", "random",
+                "--count", str(count), "--workers", "1"]
+        assert main(argv) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"{count} instances, {count} failures"
+        assert len(lines) == 1 + 50 + suppressed
+        assert all(line.endswith(": CHECK internal-error FAIL ZeroDivisionError: boom")
+                   for line in lines[1:51])
+        assert (lines[-1] == "... (more failures suppressed)") == suppressed
 
     def test_budget_error_exit_1(self, capsys):
         assert main(["sweep", "--kmax", "5", "--imax", "5"]) == 1

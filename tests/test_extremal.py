@@ -124,6 +124,16 @@ def _edgeless(n=3):
     return ExtremalInstance(n, S, FactorGraph(S.independent, {}))
 
 
+def _triangle_plus_edge():
+    # y1, y2, y3 pairwise private and y4, y5 above all three: a triangle and an edge
+    S = SplitGraph.from_neighborhoods(
+        ["a", "b", "c", "d", "e"],
+        {"y1": {"a"}, "y2": {"b"}, "y3": {"c"}, "y4": {"a", "b", "c", "d"},
+         "y5": {"a", "b", "c", "e"}},
+    )
+    return ExtremalInstance(3, S, build_by_formula(S))
+
+
 def _member_1_as(n):
     inst = build_extremal(1)
     return ExtremalInstance(n, inst.graph, inst.expected_factor)
@@ -188,8 +198,20 @@ def _reversed_member(n):
             lambda: _reversed_member(7),
             [f"CHECK {name} PASS" for name in EXTREMAL_CHECK_NAMES],
         ),
+        (
+            # two ends, no vertex of degree 3, and still no spanning path
+            _triangle_plus_edge,
+            [
+                "CHECK extremal-switch-degree FAIL n=3; factor size 4, 4 enumerated moves",
+                "CHECK extremal-path-shape FAIL n=3; factor graph is not a path of length 2",
+                "CHECK extremal-multiplicity-pattern FAIL n=3; multiplicities along the path are off",
+                "CHECK extremal-factor-exact PASS",
+                "CHECK extremal-diameter-sharp FAIL n=3; diameter None, bound 3, want 2",
+            ],
+        ),
     ],
-    ids=["member-4-as-3", "member-4-as-5", "edgeless-as-3", "member-7-reversed"],
+    ids=["member-4-as-3", "member-4-as-5", "edgeless-as-3", "member-7-reversed",
+         "triangle-plus-edge-as-3"],
 )
 def test_every_witness_pinned(make, lines):
     results = verify_extremal(make())

@@ -24,7 +24,7 @@ from splitfactor import (
     to_dot,
 )
 
-from bruteforce import brute_diameter
+from bruteforce import brute_diameter, brute_simple_view
 from test_graph import split_graphs
 
 DEMO_EDGES = [("1", "2", 1), ("2", "3", 2), ("3", "4", 2)]
@@ -186,6 +186,12 @@ class TestFactorGraphType:
         with pytest.raises(GraphError, match="duplicate"):
             FactorGraph(("a", "a"), {})
 
+    def test_unknown_vertex_query_rejected(self):
+        phi = FactorGraph(("a", "b"), {("a", "b"): 1})
+        with pytest.raises(GraphError) as exc:
+            phi.multiplicity("a", "q")
+        assert str(exc.value) == "unknown vertex 'q'"
+
     def test_loop_query_rejected(self):
         phi = FactorGraph(("a", "b"), {("a", "b"): 1})
         with pytest.raises(GraphError, match="loop"):
@@ -194,11 +200,12 @@ class TestFactorGraphType:
     def test_neighbors_and_simple_view(self):
         phi = FactorGraph(("a", "b", "c"), {("a", "b"): 5, ("a", "c"): 1})
         assert phi.neighbors("a") == ("b", "c")
-        assert phi.underlying_simple() == {
-            "a": frozenset({"b", "c"}),
-            "b": frozenset({"a"}),
-            "c": frozenset({"a"}),
-        }
+        assert phi.neighbor_masks() == (0b110, 0b001, 0b001)
+
+    def test_repr_and_foreign_equality(self):
+        phi = FactorGraph(("a", "b", "c"), {("a", "b"): 5, ("a", "c"): 1})
+        assert repr(phi) == "FactorGraph(|V|=3, size=6)"
+        assert phi.__eq__(phi.edges()) is NotImplemented
 
     def test_immutable(self):
         phi = FactorGraph(("a",), {})
@@ -278,7 +285,7 @@ class TestDiameter:
                 if rng.random() < 0.3
             }
             phi = FactorGraph(verts, mult)
-            connected, value = brute_diameter(phi.underlying_simple())
+            connected, value = brute_diameter(brute_simple_view(phi))
             summary = phi.diameter()
             assert summary.connected == connected
             assert summary.value == value

@@ -69,6 +69,11 @@ class TestConstruction:
         with pytest.raises(GraphError, match="unknown vertex"):
             SplitGraph(["x"], ["1"], [("1", "q")])
 
+    def test_unknown_first_endpoint_rejected(self):
+        with pytest.raises(GraphError) as exc:
+            SplitGraph(["x"], ["1"], [("q", "1")])
+        assert str(exc.value) == "edge references unknown vertex 'q'"
+
     def test_duplicate_label_rejected(self):
         with pytest.raises(GraphError, match="duplicate"):
             SplitGraph(["x", "y"], ["x"])
@@ -130,6 +135,10 @@ class TestConstruction:
         S = SplitGraph((), ())
         assert S.labels == ()
         assert S.edge_count() == 0
+
+    def test_repr_and_foreign_equality(self, demo_graph):
+        assert repr(demo_graph) == "SplitGraph(|K|=4, |I|=4, edges=13)"
+        assert demo_graph.__eq__(demo_graph.adj_masks) is NotImplemented
 
 
 class TestWithMasks:
@@ -216,6 +225,12 @@ class TestTextFormat:
         with pytest.raises(ParseError, match="expected 'K:'") as exc:
             parse_split_text("I: 1\nK: x\n")
         assert exc.value.lineno == 1
+
+    def test_wrong_second_header(self):
+        with pytest.raises(ParseError) as exc:
+            parse_split_text("K: x\nx 1\n")
+        assert exc.value.lineno == 2
+        assert str(exc.value) == "line 2: expected 'I:' header, got 'x 1'"
 
     def test_missing_i_header(self):
         with pytest.raises(ParseError, match="missing 'I:'") as exc:
@@ -356,7 +371,7 @@ class TestRecognition:
         S = recognize_split([])
         assert S is not None and S.labels == ()
 
-    def test_swing_vertex_maximizes_clique(self):
+    def test_path_gets_a_maximum_clique(self):
         # a path a-b-c: both {a,b} and {b,c} work, never just {b}
         S = recognize_split([("a", "b"), ("b", "c")])
         assert S is not None and S.k_size == 2

@@ -47,3 +47,15 @@ def test_library_imports_only_the_standard_library():
     assert foreign_imports(ast.parse(sample)) == [2, 4]
     found = [f"{name}:{line}" for name, tree in library_trees() for line in foreign_imports(tree)]
     assert found == []
+
+
+def test_all_lists_each_public_name_once():
+    # a name deleted from the package must leave __all__ with it
+    import splitfactor
+
+    names = splitfactor.__all__
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(splitfactor, name)] == []
+    namespace = {}
+    exec("from splitfactor import *", namespace)
+    assert set(names) <= namespace.keys()
