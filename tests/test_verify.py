@@ -441,6 +441,16 @@ class TestFabricatedFailures:
          (3,), "path b a; clique excess 2 does not divide first multiplicity 3"),
         ("union-sqrt-bound", {"a": "xy", "b": "zwv"},
          (3,), "path b a; union excess 2 exceeds sqrt of first multiplicity 3"),
+        # 3-vertex paths where only the reversed orientation meets the law's premise:
+        # a b has the simple edge, or only c attains the maximum degree
+        ("p3-pendant-difference", {"a": "xy", "b": "zw", "c": "xy"},
+         (1, 2), "path c b a; head/tail private neighbors differ"),
+        ("p3-tail-decomposition", {"a": "x", "b": "y", "c": "z"},
+         (1, 2), "path c b a; tail neighborhood fails the pendant decomposition"),
+        ("p3-first-multiplicity", {"a": "xyz", "b": "xy", "c": "x"},
+         (1, 1), "path c b a; first multiplicity differs from degree gap plus one"),
+        ("path-inclusion-chain", {"a": "x", "b": "y", "c": "yz"},
+         (1, 1), "path c b a; positions 1 vs 3"),
     ]
 
     @pytest.mark.parametrize("law, neighborhoods, mults, witness", PINNED_WITNESSES)
