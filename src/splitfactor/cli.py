@@ -17,6 +17,7 @@ from .graph import (
     GraphError,
     ParseError,
     SplitGraph,
+    _check_label,
     format_split_text,
     parse_split_text,
     recognize_split,
@@ -133,6 +134,8 @@ def _cmd_moves(args) -> int:
 
 
 def _parse_edge_list(path: str) -> tuple[list[str], list[tuple[str, str]]]:
+    """The declared vertices and the edges of an edge-list file; a malformed
+    line, a bad label or a loop raises ParseError naming its line."""
     text = _read(path)
     vertices: list[str] = []
     edges: list[tuple[str, str]] = []
@@ -140,13 +143,21 @@ def _parse_edge_list(path: str) -> tuple[list[str], list[tuple[str, str]]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("V:"):
-            vertices.extend(line[2:].split())
-            continue
-        parts = line.split()
-        if len(parts) != 2:
+        declared = line.startswith("V:")
+        parts = line[2:].split() if declared else line.split()
+        if not declared and len(parts) != 2:
             raise ParseError(lineno, f"expected an edge line 'u v', got {raw!r}")
-        edges.append((parts[0], parts[1]))
+        try:
+            for label in parts:
+                _check_label(label)
+            if not declared and parts[0] == parts[1]:
+                raise GraphError(f"loop on vertex {parts[0]!r}")
+        except GraphError as exc:
+            raise ParseError(lineno, str(exc)) from None
+        if declared:
+            vertices.extend(parts)
+        else:
+            edges.append((parts[0], parts[1]))
     return vertices, edges
 
 

@@ -26,7 +26,7 @@ reconstructed); an explicit edge inside I is a hard error.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 class GraphError(ValueError):
@@ -41,12 +41,26 @@ class ParseError(GraphError):
         self.lineno = lineno
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of ``mask``, ascending."""
+# the set-bit indices of every byte value, ascending
+_BYTE_BITS: tuple[tuple[int, ...], ...] = tuple(
+    tuple(b for b in range(8) if v >> b & 1) for v in range(256)
+)
+
+
+def bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of ``mask``, a non-negative int, ascending.
+
+    A mask below 256 reads them from a table; a wider one is taken apart
+    one lowest set bit at a time.
+    """
+    if mask < 256:
+        return _BYTE_BITS[mask]
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(out)
 
 
 def _check_label(label: object) -> str:

@@ -289,7 +289,10 @@ class _Context:
     """Index-level view of one (S, phi) instance, built once per verification.
 
     ``phi`` defaults to the formula factor graph of S, and must live on S's
-    independent set.  ``mult`` is phi's flat multiplicity table (entry
+    independent set.  ``nmask`` holds S's neighborhood mask of each of
+    phi's vertices: S's own independent-set rows when phi lists those
+    vertices in S's order, as the formula graph does, and rows looked up
+    by label otherwise.  ``mult`` is phi's flat multiplicity table (entry
     ``a * n + b``), None until :meth:`table` builds it: the cycle and
     diameter laws never read it.  ``failed`` maps a law name to the witness
     of its first failure and ``notes`` a law name to its note; a law that
@@ -302,12 +305,15 @@ class _Context:
 
     def __init__(self, S: SplitGraph, phi: FactorGraph | None = None):
         phi = build_by_formula(S) if phi is None else phi
-        if set(phi.vertices) != set(S.independent):
+        if phi.vertices == S.independent:
+            self.nmask = S.adj_masks[S.k_size:]
+        elif set(phi.vertices) == set(S.independent):
+            self.nmask = tuple(S.adj_masks[S.index_of(v)] for v in phi.vertices)
+        else:
             raise GraphError("factor graph vertices do not match the independent set")
         self.phi = phi
         self.labels = phi.vertices
         self.n = len(self.labels)
-        self.nmask = [S.adj_masks[S.index_of(v)] for v in self.labels]
         self.deg = [m.bit_count() for m in self.nmask]
         self.mult: list[int] | None = None
         self.nbr = phi.neighbor_masks()
@@ -402,15 +408,21 @@ def _check_oriented(ctx: _Context, seq: tuple[int, ...]) -> None:
             dip = True
     if spill >= 0:
         Nv = nmask[seq[spill]]
-        j = next(j for j in range(spill + 2, n) if nmask[seq[j]] & ~Nv)
-        ctx.fail(PATH_INCLUSION, seq, f"positions {spill + 1} vs {j + 1}")
-        ctx.fail(PATH_UNION, seq, f"position {spill + 1} misses later neighbors")
+        _fail_chain(ctx, seq, spill, next(j for j in range(spill + 2, n) if nmask[seq[j]] & ~Nv))
     if parity >= 0:
         ctx.fail(PATH_PARITY, seq, f"positions {parity + 1} vs {parity + 3}")
     if dip:
         ctx.fail(PATH_MIN, seq, "minimum not within last two positions")
     # no union-clause test: the later union inside N_1 makes the whole union N_1 | N_2
     _check_first_edge(ctx, seq, later | nmask[seq[0]] | nmask[seq[1]])
+
+
+def _fail_chain(ctx: _Context, seq: tuple[int, ...], i: int, j: int) -> None:
+    """Record that position i of a head-maximal orientation misses a neighbor
+    of position j, the first such j after i + 1: the inclusion chain and the
+    union collapse both fail there."""
+    ctx.fail(PATH_INCLUSION, seq, f"positions {i + 1} vs {j + 1}")
+    ctx.fail(PATH_UNION, seq, f"position {i + 1} misses later neighbors")
 
 
 def _check_first_edge(ctx: _Context, seq: tuple[int, ...], union: int) -> None:
@@ -443,31 +455,56 @@ def _check_path(ctx: _Context, p: tuple[int, ...]) -> None:
 
     The max-position, P5 and simple-edge laws hold in either direction; the
     item and divisibility laws are asserted for every orientation whose
-    head degree attains the path maximum (zero, one, or two of them).  On a
-    single edge only the first-edge divisibility laws have content, and with
-    equal end degrees both orientations give one verdict, so the edge is
-    checked once, head-maximal and named as given when the degrees tie.
-    On four or fewer vertices every position lies within the first two or
-    the last two, so path-max-at-ends is evaluated from five vertices on.
-    On three vertices the only position before the last two is the head of
-    a head-maximal orientation, which is the maximum, so path-min-at-tail
-    cannot fail there and its scan test never fires.
+    head degree attains the path maximum (zero, one, or two of them).  Each
+    length evaluates only the laws it can fail, and builds the reversed
+    path only for an orientation it checks:
+
+    - 2 vertices: only the first-edge divisibility laws have content, and
+      with equal end degrees both orientations give one verdict, so the
+      edge is checked once, head-maximal and named as given on a tie.
+    - 3 vertices: in a head-maximal orientation the chain and the union
+      collapse fail exactly when the tail's neighborhood leaves the head's;
+      the parity and minimum laws compare the head, the maximum, with
+      later positions and cannot fail.  No edge is interior, and the P3
+      pendant laws run for an orientation whose head degree is at most the
+      middle one and whose last edge is simple.
+    - 4 and more: on four vertices every position lies within the first
+      two or the last two, so path-max-at-ends is evaluated from five on.
     """
-    deg = ctx.deg
+    deg, nmask = ctx.deg, ctx.nmask
     n = len(p)
     if n == 2:
         a, b = p
-        _check_first_edge(ctx, p if deg[a] >= deg[b] else (b, a), ctx.nmask[a] | ctx.nmask[b])
+        _check_first_edge(ctx, p if deg[a] >= deg[b] else (b, a), nmask[a] | nmask[b])
         return
-    d = [deg[v] for v in p]
-    top = max(d)
-    if n > 4 and top not in (d[0], d[1], d[-2], d[-1]):
+    if n == 3:
+        a, b, c = p
+        da, db, dc = deg[a], deg[b], deg[c]
+        Na, Nc = nmask[a], nmask[c]
+        union = Na | nmask[b] | Nc
+        if da >= db and da >= dc:
+            if Nc & ~Na:
+                _fail_chain(ctx, p, 0, 2)
+            _check_first_edge(ctx, p, union)
+        if dc >= db and dc >= da:
+            back = (c, b, a)
+            if Na & ~Nc:
+                _fail_chain(ctx, back, 0, 2)
+            _check_first_edge(ctx, back, union)
+        mult, stride = ctx.mult, ctx.n
+        if da <= db and mult[b * stride + c] == 1:
+            _check_pendant(ctx, p)
+        if dc <= db and mult[b * stride + a] == 1:
+            _check_pendant(ctx, (c, b, a))
+        return
+    top = max(map(deg.__getitem__, p))
+    if n > 4 and top not in (deg[p[0]], deg[p[1]], deg[p[-2]], deg[p[-1]]):
         ctx.fail(PATH_MAX, p, f"max degree {top} only at interior positions")
-    if d[0] == top:
+    if deg[p[0]] == top:
         _check_oriented(ctx, p)
-    if d[-1] == top:
+    if deg[p[-1]] == top:
         _check_oriented(ctx, p[::-1])
-    if n == 5 and d[2] == top:
+    if n == 5 and deg[p[2]] == top:
         ctx.fail(P5_MIDDLE, p, "middle degree equals the maximum")
 
     mult, stride = ctx.mult, ctx.n
@@ -490,22 +527,22 @@ def _check_path(ctx: _Context, p: tuple[int, ...]) -> None:
             ctx.fail(P4_MIDDLE, seq, f"simple middle edge, {pattern} degrees")
             break
 
-    if n == 3:
-        for seq in (p, p[::-1]):
-            a, b, c = seq
-            if deg[a] > deg[b] or mult[b * stride + c] != 1:
-                continue
-            Na, Nb, Nc = ctx.nmask[a], ctx.nmask[b], ctx.nmask[c]
-            priv_a = Na & ~Nb
-            if not (priv_a.bit_count() == 1 and priv_a == Nc & ~Nb):
-                ctx.fail(P3_PENDANT, seq, "head/tail private neighbors differ")
-            union_ab = Na | Nb
-            decomposed = Nc == (priv_a | (Nb & Nc))
-            proper = (Nc & ~union_ab) == 0 and Nc != union_ab
-            if not (decomposed and proper):
-                ctx.fail(P3_DECOMP, seq, "tail neighborhood fails the pendant decomposition")
-            if mult[a * stride + b] != deg[b] - deg[a] + 1:
-                ctx.fail(P3_MULT, seq, "first multiplicity differs from degree gap plus one")
+
+def _check_pendant(ctx: _Context, seq: tuple[int, ...]) -> None:
+    """The P3 pendant laws on a 3-path whose head degree is at most the
+    middle one and whose last edge is simple."""
+    a, b, c = seq
+    Na, Nb, Nc = ctx.nmask[a], ctx.nmask[b], ctx.nmask[c]
+    priv_a = Na & ~Nb
+    if not (priv_a.bit_count() == 1 and priv_a == Nc & ~Nb):
+        ctx.fail(P3_PENDANT, seq, "head/tail private neighbors differ")
+    union_ab = Na | Nb
+    decomposed = Nc == (priv_a | (Nb & Nc))
+    proper = (Nc & ~union_ab) == 0 and Nc != union_ab
+    if not (decomposed and proper):
+        ctx.fail(P3_DECOMP, seq, "tail neighborhood fails the pendant decomposition")
+    if ctx.mult[a * ctx.n + b] != ctx.deg[b] - ctx.deg[a] + 1:
+        ctx.fail(P3_MULT, seq, "first multiplicity differs from degree gap plus one")
 
 
 def _check_paths(

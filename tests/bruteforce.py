@@ -17,6 +17,12 @@ def brute_neighborhood(S: SplitGraph, v: str) -> set[str]:
     return {w for w in S.labels if w != v and S.has_edge(v, w)}
 
 
+def brute_bits(mask: int) -> list[int]:
+    """The set bits of a non-negative mask, by testing every position below
+    its bit length in ascending order."""
+    return [b for b in range(mask.bit_length()) if mask >> b & 1]
+
+
 def two_switch_key(a: str, b: str, c: str, d: str) -> tuple:
     """Canonical identity of the move deleting ab, cd and inserting ac, bd."""
     deleted = frozenset({frozenset({a, b}), frozenset({c, d})})

@@ -147,6 +147,18 @@ class TestRecognize:
             "splitfactor: error: line 1: expected an edge line 'u v', got 'a b c'\n"
         )
 
+    @pytest.mark.parametrize("text, error", [
+        ("a b\nc c\n", "line 2: loop on vertex 'c'"),
+        ("a b\n#c d\nc #d\n", "line 3: vertex label may not start with '#': '#d'"),
+        ("a b\n\nV: c #z\n", "line 3: vertex label may not start with '#': '#z'"),
+    ], ids=["loop", "edge-label", "declared-label"])
+    def test_bad_line_named(self, tmp_path, capsys, text, error):
+        f = write(tmp_path, "bad.edges", text)
+        assert main(["recognize", f]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"splitfactor: error: {error}\n"
+
 
 class TestExtremal:
     def test_base_member_text(self, capsys):

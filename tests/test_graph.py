@@ -20,7 +20,9 @@ from splitfactor import (
     recognize_split,
 )
 
-from bruteforce import brute_neighborhood, brute_split_partitions
+from splitfactor.graph import bits
+
+from bruteforce import brute_bits, brute_neighborhood, brute_split_partitions
 
 
 # every split graph at sizes (k, i) as a hypothesis strategy
@@ -170,6 +172,25 @@ class TestWithMasks:
     def test_non_int_mask_rejected(self, demo_graph, mask):
         with pytest.raises(GraphError, match=f"mask {mask!r} of '3' must be an int"):
             demo_graph.with_masks([1, 2, mask, 0])
+
+
+class TestBits:
+    def test_every_mask_below_4096(self):
+        # the table's 256 bytes, and wider masks whose low byte takes every value
+        for mask in range(1 << 12):
+            assert bits(mask) == tuple(brute_bits(mask))
+
+    def test_seeded_wide_masks(self):
+        rng = random.Random(80)
+        for _ in range(3000):
+            mask = rng.getrandbits(rng.randint(1, 80))
+            assert bits(mask) == tuple(brute_bits(mask))
+
+    def test_returns_a_tuple(self):
+        assert bits(0) == ()
+        assert bits(0b1010) == (1, 3)
+        assert bits(1 << 200 | 1) == (0, 200)
+        assert type(bits(5)) is tuple and type(bits(1 << 70)) is tuple
 
 
 class TestQueries:

@@ -308,6 +308,29 @@ class TestPerPathChecks:
         with pytest.raises(GraphError, match="do not match"):
             check_paths(demo_graph, wrong, [("1", "2")])
 
+    def test_reordered_factor_graph_gives_same_verdicts(self):
+        # the same multigraph with its vertices listed in another order must be
+        # read by label: a check that took S's neighborhoods by position would
+        # give them to the wrong vertices
+        rng = random.Random(66)
+        spec = CorpusSpec("random", 6, 6, count=200, seed=66)
+        reordered_any = 0
+        for index in range(200):
+            S = instance(spec, index)
+            phi = build_by_formula(S)
+            order = list(phi.vertices)
+            rng.shuffle(order)
+            reordered_any += order != list(phi.vertices)
+            shuffled = FactorGraph(order, {(u, v): m for u, v, m in phi.edges()})
+
+            def verdicts(phi):
+                results = [*check_paths(S, phi), check_cycle_bound(S, phi),
+                           check_diameter_bound(S, phi)]
+                return [(r.name, r.passed, r.note) for r in results]
+
+            assert verdicts(shuffled) == verdicts(None) == verdicts(phi)
+        assert reordered_any > 190
+
 
 class TestFabricatedFailures:
     """Deliberately inconsistent inputs must produce FAIL verdicts with
