@@ -41,10 +41,17 @@ class ParseError(GraphError):
         self.lineno = lineno
 
 
+def _subset_table(items: Sequence) -> tuple[tuple, ...]:
+    """For every value v below 2**len(items), the items at v's set bits, in
+    order: value v with top bit t set lists the items of v - 2**t, then item t."""
+    rows: list[tuple] = [()]
+    for item in items:
+        rows += [row + (item,) for row in rows]
+    return tuple(rows)
+
+
 # the set-bit indices of every byte value, ascending
-_BYTE_BITS: tuple[tuple[int, ...], ...] = tuple(
-    tuple(b for b in range(8) if v >> b & 1) for v in range(256)
-)
+_BYTE_BITS = _subset_table(range(8))
 
 
 def bits(mask: int) -> tuple[int, ...]:
@@ -79,15 +86,8 @@ def _mask_labeler(clique: Sequence[str]) -> Callable[[int], tuple[str, ...]]:
     for each 8-bit chunk of the mask, the label tuple of every chunk value,
     and concatenates the chunks' tuples when |K| > 8: with two lookups and
     no loop up to |K| = 16, chunk by chunk beyond."""
-    table = []
     # an empty clique still gets one chunk, which maps mask 0 to no labels
-    for base in range(0, len(clique) or 1, 8):
-        # value v with top bit t set lists the labels of v - 2**t, then label t
-        rows: list[tuple[str, ...]] = [()]
-        for label in clique[base : base + 8]:
-            rows += [row + (label,) for row in rows]
-        table.append(tuple(rows))
-    low, *high = table
+    low, *high = [_subset_table(clique[base : base + 8]) for base in range(0, len(clique) or 1, 8)]
     if not high:
         return low.__getitem__
     if len(high) == 1:
