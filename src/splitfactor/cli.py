@@ -144,18 +144,18 @@ def _parse_edge_list(path: str) -> tuple[list[str], list[tuple[str, str]]]:
         if not line or line.startswith("#"):
             continue
         declared = line.startswith("V:")
-        parts = line[2:].split() if declared else line.split()
+        parts = (line[2:] if declared else line).split()
         if not declared and len(parts) != 2:
             raise ParseError(lineno, f"expected an edge line 'u v', got {raw!r}")
         try:
             for label in parts:
                 _check_label(label)
-            if not declared and parts[0] == parts[1]:
-                raise GraphError(f"loop on vertex {parts[0]!r}")
         except GraphError as exc:
             raise ParseError(lineno, str(exc)) from None
         if declared:
             vertices.extend(parts)
+        elif parts[0] == parts[1]:
+            raise ParseError(lineno, f"loop on vertex {parts[0]!r}")
         else:
             edges.append((parts[0], parts[1]))
     return vertices, edges
