@@ -19,7 +19,6 @@ from splitfactor import (
     parse_split_text,
     recognize_split,
 )
-
 from splitfactor.graph import bits
 
 from bruteforce import brute_bits, brute_neighborhood, brute_split_partitions
