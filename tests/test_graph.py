@@ -6,7 +6,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splitfactor import (
@@ -24,20 +24,30 @@ from splitfactor.graph import bits
 from bruteforce import brute_bits, brute_neighborhood, brute_split_partitions
 
 
-# every split graph at sizes (k, i) as a hypothesis strategy
-def split_graphs(k_max=4, i_max=4):
+# every split graph at sizes (k, i) as a hypothesis strategy; labels are
+# x1.. and y1.., or distinct draws from ``labels`` when it is given
+def split_graphs(k_max=4, i_max=4, labels=None):
     def build(draw):
         k = draw(st.integers(1, k_max))
         i = draw(st.integers(1, i_max))
         masks = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=i, max_size=i))
-        clique = [f"x{j}" for j in range(1, k + 1)]
+        if labels is None:
+            names = [f"x{j}" for j in range(1, k + 1)] + [f"y{j}" for j in range(1, i + 1)]
+        else:
+            names = draw(st.lists(labels, min_size=k + i, max_size=k + i, unique=True))
+        clique = names[:k]
         nbhd = {
-            f"y{j + 1}": {clique[b] for b in range(k) if masks[j] >> b & 1}
+            names[k + j]: {clique[b] for b in range(k) if masks[j] >> b & 1}
             for j in range(i)
         }
         return SplitGraph.from_neighborhoods(clique, nbhd)
 
     return st.composite(build)()
+
+
+# labels with dashes and quotes, many of them substrings of others; a
+# fault's message quotes its labels, as in edge 'y1'-'y2' ...
+AWKWARD_LABELS = st.sampled_from(["-", "'", "a", "aa", "a-", "-a", "a'", "b"])
 
 
 class TestConstruction:
@@ -271,6 +281,37 @@ class TestTextFormat:
         with pytest.raises(ParseError, match="independent-set") as exc:
             parse_split_text("K: x\nI: 1 2\n1 x\n1 2\n")
         assert exc.value.lineno == 4
+
+    def test_edge_fault_blamed_on_its_line_not_on_a_quoted_label(self):
+        # the message quotes 'y1'-'y2', which holds the quoted clique label '-'
+        with pytest.raises(ParseError) as exc:
+            parse_split_text("K: - x\nI: y1 y2\ny1 -\ny1 y2\n")
+        assert str(exc.value) == "line 4: edge 'y1'-'y2' joins two independent-set vertices"
+
+    @settings(max_examples=500, deadline=None)
+    @given(split_graphs(3, 3, labels=AWKWARD_LABELS), st.data())
+    def test_edge_fault_blamed_on_its_line_property(self, S, data):
+        known = st.sampled_from(S.labels)
+        kind = data.draw(st.sampled_from(["unknown", "loop", "independent"]))
+        if kind == "unknown":
+            stranger = data.draw(AWKWARD_LABELS.filter(lambda v: not S.has_vertex(v)))
+            edge = data.draw(st.permutations([data.draw(known), stranger]))
+        elif kind == "loop":
+            edge = [data.draw(known)] * 2
+        else:
+            assume(len(S.independent) >= 2)
+            edge = data.draw(
+                st.lists(st.sampled_from(S.independent), min_size=2, max_size=2, unique=True)
+            )
+        with pytest.raises(GraphError) as expected:
+            SplitGraph(S.clique, S.independent, [edge])
+        lines = format_split_text(S).splitlines()
+        at = data.draw(st.integers(2, len(lines)))  # anywhere after the headers
+        lines.insert(at, " ".join(edge))
+        with pytest.raises(ParseError) as exc:
+            parse_split_text("\n".join(lines) + "\n")
+        assert exc.value.lineno == at + 1
+        assert str(exc.value) == f"line {at + 1}: {expected.value}"
 
     @pytest.mark.parametrize(
         "text, message, lineno",
