@@ -35,6 +35,7 @@ from .graph import (
     ParseError,
     SplitGraph,
     format_split_text,
+    parse_edge_list,
     parse_split_text,
     recognize_split,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "instance_id",
     "is_induced_cycle",
     "is_induced_path",
+    "parse_edge_list",
     "parse_split_text",
     "recognize_split",
     "splitmix64",

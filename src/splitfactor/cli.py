@@ -15,10 +15,9 @@ from .extremal import build_extremal, verify_extremal
 from .factor import build_by_formula, format_multiplicity_listing, to_dot
 from .graph import (
     GraphError,
-    ParseError,
     SplitGraph,
-    _check_label,
     format_split_text,
+    parse_edge_list,
     parse_split_text,
     recognize_split,
 )
@@ -72,10 +71,11 @@ def _build_parser() -> _Parser:
 
 
 def _read(path: str) -> str:
-    """The text of a UTF-8 file; one that cannot be read or decoded raises
-    GraphError, so the command ends in one error line."""
+    """The text of a UTF-8 file, without a leading byte-order mark; one that
+    cannot be read or decoded raises GraphError, so the command ends in one
+    error line."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         reason = exc.strerror or str(exc)
@@ -133,42 +133,14 @@ def _cmd_moves(args) -> int:
     return 0
 
 
-def _parse_edge_list(path: str) -> tuple[list[str], list[tuple[str, str]]]:
-    """The declared vertices and the edges of an edge-list file; a malformed
-    line, a bad label or a loop raises ParseError naming its line."""
-    text = _read(path)
-    vertices: list[str] = []
-    edges: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        declared = line.startswith("V:")
-        parts = (line[2:] if declared else line).split()
-        if not declared and len(parts) != 2:
-            raise ParseError(lineno, f"expected an edge line 'u v', got {raw!r}")
-        try:
-            for label in parts:
-                _check_label(label)
-        except GraphError as exc:
-            raise ParseError(lineno, str(exc)) from None
-        if declared:
-            vertices.extend(parts)
-        elif parts[0] == parts[1]:
-            raise ParseError(lineno, f"loop on vertex {parts[0]!r}")
-        else:
-            edges.append((parts[0], parts[1]))
-    return vertices, edges
-
-
 def _cmd_recognize(args) -> int:
-    vertices, edges = _parse_edge_list(args.file)
+    vertices, edges = parse_edge_list(_read(args.file))
     S = recognize_split(edges, vertices)
     if S is None:
         print("NOT-SPLIT")
         return 2
-    print("K: " + " ".join(S.clique) if S.clique else "K:")
-    print("I: " + " ".join(S.independent) if S.independent else "I:")
+    # the partition: the two header lines of S's split text
+    print(*format_split_text(S).splitlines()[:2], sep="\n")
     return 0
 
 

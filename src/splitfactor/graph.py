@@ -22,11 +22,15 @@ Text format (one graph per file)::
 Header lines declare the partition; the remaining lines give edges.
 Edges inside K are implied by the partition and may be omitted (they are
 reconstructed); an explicit edge inside I is a hard error.
+
+``parse_edge_list`` reads the other text format, a plain graph's edge list:
+one ``u v`` per line, with ``V:`` lines declaring vertices.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+import contextlib
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class GraphError(ValueError):
@@ -78,6 +82,29 @@ def _check_label(label: object) -> str:
     if label.startswith("#"):
         raise GraphError(f"vertex label may not start with '#': {label!r}")
     return label
+
+
+def _plain_edge(a: str, b: str) -> tuple[str, str]:
+    """Edge a-b of a simple graph: both labels well formed, and not a loop."""
+    _check_label(a)
+    _check_label(b)
+    if a == b:
+        raise GraphError(f"loop on vertex {a!r}")
+    return a, b
+
+
+def _edge_ends(index: Mapping[str, int], k: int, a: str, b: str) -> tuple[int, int]:
+    """The indices of edge a-b's ends in a split graph with label index
+    ``index`` whose first ``k`` indices form the clique.  Raises GraphError
+    for an unknown vertex, a loop or an edge inside the independent set."""
+    if a not in index or b not in index:
+        bad = a if a not in index else b
+        raise GraphError(f"edge references unknown vertex {bad!r}")
+    _plain_edge(a, b)  # rejects a loop: labels in the index are well formed
+    ends = index[a], index[b]
+    if min(ends) >= k:
+        raise GraphError(f"edge {a!r}-{b!r} joins two independent-set vertices")
+    return ends
 
 
 def _mask_labeler(clique: Sequence[str]) -> Callable[[int], tuple[str, ...]]:
@@ -148,16 +175,7 @@ class SplitGraph:
         for a in range(k):
             adj[a] = k_mask ^ (1 << a)
         for a_lab, b_lab in edges:
-            if a_lab not in index or b_lab not in index:
-                bad = a_lab if a_lab not in index else b_lab
-                raise GraphError(f"edge references unknown vertex {bad!r}")
-            a, b = index[a_lab], index[b_lab]
-            if a == b:
-                raise GraphError(f"loop on vertex {a_lab!r}")
-            if a >= k and b >= k:
-                raise GraphError(
-                    f"edge {a_lab!r}-{b_lab!r} joins two independent-set vertices"
-                )
+            a, b = _edge_ends(index, k, a_lab, b_lab)
             adj[a] |= 1 << b
             adj[b] |= 1 << a
         self.clique = clique_t
@@ -294,63 +312,83 @@ class SplitGraph:
         )
 
 
-# -- text format ----------------------------------------------------------------
+# -- text formats ---------------------------------------------------------------
+
+
+def _content_lines(text: str) -> Iterator[tuple[int, str, str]]:
+    """The 1-based number, stripped text and raw text of every line that is
+    neither blank nor a '#' comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line, raw
+
+
+@contextlib.contextmanager
+def _blame(lineno: int) -> Iterator[None]:
+    """Re-raise a GraphError from the block as a ParseError on ``lineno``."""
+    try:
+        yield
+    except GraphError as exc:
+        raise ParseError(lineno, str(exc)) from None
 
 
 def parse_split_text(text: str) -> SplitGraph:
-    """Parse the split-graph text format; raises ParseError with line numbers."""
-    clique: tuple[str, ...] | None = None
-    independent: tuple[str, ...] | None = None
-    header_line = clique_line = 1
-    edges: list[tuple[str, str]] = []
-    edge_lines: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    """Parse the split-graph text format; raises ParseError with line numbers.
+
+    Every line's shape is checked before any label.  Then a bad clique label
+    is blamed on the ``K:`` line, any other label fault on the ``I:`` line,
+    and an edge fault on the edge's own line.
+    """
+    clique: list[str] | None = None
+    independent: list[str] | None = None
+    clique_line = independent_line = 1
+    edges: list[tuple[int, str, str]] = []
+    for lineno, line, raw in _content_lines(text):
         if clique is None:
             if not line.startswith("K:"):
                 raise ParseError(lineno, f"expected 'K:' header, got {raw!r}")
-            clique = tuple(line[2:].split())
-            header_line = clique_line = lineno
-            continue
-        if independent is None:
+            clique, clique_line = line[2:].split(), lineno
+        elif independent is None:
             if not line.startswith("I:"):
                 raise ParseError(lineno, f"expected 'I:' header, got {raw!r}")
-            independent = tuple(line[2:].split())
-            header_line = lineno
+            independent, independent_line = line[2:].split(), lineno
+        else:
+            parts = line.split()
+            if len(parts) != 2:
+                raise ParseError(lineno, f"expected an edge line 'u v', got {raw!r}")
+            edges.append((lineno, *parts))
+    if clique is None:
+        raise ParseError(1, "missing 'K:' header")
+    if independent is None:
+        raise ParseError(clique_line, "missing 'I:' header")
+    with _blame(clique_line):
+        SplitGraph(clique, ())
+    with _blame(independent_line):
+        S = SplitGraph(clique, independent)
+    for lineno, a, b in edges:
+        with _blame(lineno):
+            _edge_ends(S._index, S.k_size, a, b)
+    return SplitGraph(clique, independent, [(a, b) for _, a, b in edges])
+
+
+def parse_edge_list(text: str) -> tuple[list[str], list[tuple[str, str]]]:
+    """The declared vertices and the edges of an edge list: one ``u v`` edge
+    per line, and ``V:`` lines that declare vertices, isolated ones included.
+    A malformed line, a bad label or a loop raises ParseError naming its line."""
+    vertices: list[str] = []
+    edges: list[tuple[str, str]] = []
+    for lineno, line, raw in _content_lines(text):
+        if line.startswith("V:"):
+            with _blame(lineno):
+                vertices.extend(map(_check_label, line[2:].split()))
             continue
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(lineno, f"expected an edge line 'u v', got {raw!r}")
-        edges.append((parts[0], parts[1]))
-        edge_lines.append(lineno)
-    if clique is None:
-        raise ParseError(1, "missing 'K:' header")
-    if independent is None:
-        raise ParseError(header_line, "missing 'I:' header")
-    try:
-        SplitGraph(clique, ())  # a bad K label is the K: line's fault
-    except GraphError as exc:
-        raise ParseError(clique_line, str(exc)) from None
-    try:
-        return SplitGraph(clique, independent, edges)
-    except GraphError as exc:
-        # Re-attribute the complaint to its source line: edge-level messages
-        # quote the offending labels, everything else stems from the headers.
-        # A line naming both quoted labels wins over one naming just one.
-        msg = str(exc)
-        if msg.startswith(("edge", "loop")):
-            best = None
-            for (a, b), lineno in zip(edges, edge_lines):
-                if repr(a) in msg and repr(b) in msg:
-                    best = lineno
-                    break
-                if best is None and (repr(a) in msg or repr(b) in msg):
-                    best = lineno
-            if best is not None:
-                raise ParseError(best, msg) from None
-        raise ParseError(header_line, msg) from None
+        with _blame(lineno):
+            edges.append(_plain_edge(*parts))
+    return vertices, edges
 
 
 def format_split_text(S: SplitGraph) -> str:
@@ -385,10 +423,7 @@ def recognize_split(
     for v in vertices:
         adj.setdefault(_check_label(v), set())
     for a, b in edges:
-        _check_label(a)
-        _check_label(b)
-        if a == b:
-            raise GraphError(f"loop on vertex {a!r}")
+        _plain_edge(a, b)
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
     order = sorted(adj, key=lambda v: (-len(adj[v]), v))

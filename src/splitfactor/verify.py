@@ -697,6 +697,7 @@ def _failures(
 
 def sweep(spec: CorpusSpec, workers: int = 1, max_len: int | None = None) -> SweepSummary:
     """Verify every instance of a corpus; reports merge in index order."""
+    _path_cap(2, max_len)  # a bad max_len raises here once, not once per instance
     total = corpus_size(spec)
     check = partial(_failures, spec, max_len)
     if workers <= 1 or total < 2048:

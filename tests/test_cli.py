@@ -80,6 +80,20 @@ def test_non_utf8_file_exit_1(tmp_path, capsys, command):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, text", [
+    ("phi", DEMO_TEXT),
+    ("recognize", "a b\nb c\n"),
+], ids=["split", "edge-list"])
+def test_byte_order_mark_ignored(tmp_path, capsys, command, text):
+    plain = write(tmp_path, "plain.txt", text)
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert main([command, plain]) == 0
+    expected = capsys.readouterr()
+    assert main([command, str(marked)]) == 0
+    assert capsys.readouterr() == expected
+
+
 class TestVerify:
     def test_all_checks_pass(self, demo_file, capsys):
         assert main(["verify", demo_file]) == 0
@@ -265,6 +279,14 @@ class TestSweep:
         assert all(line.endswith(": CHECK internal-error FAIL ZeroDivisionError: boom")
                    for line in lines[1:51])
         assert (lines[-1] == "... (more failures suppressed)") == suppressed
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_bad_max_len_is_one_error_line(self, capsys, workers):
+        argv = ["sweep", "--kmax", "2", "--imax", "2", "--max-len", "1", "--workers", workers]
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", "splitfactor: error: max_len must be an int of at least 2, got 1\n"
+        )
 
     def test_budget_error_exit_1(self, capsys):
         assert main(["sweep", "--kmax", "5", "--imax", "5"]) == 1

@@ -767,6 +767,15 @@ class TestSweep:
         assert summary.failed == ((instance_id(spec, 5), (failure,)),)
         assert failure.line() == "CHECK internal-error FAIL ZeroDivisionError: boom"
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_max_len_rejected_before_the_first_instance(self, monkeypatch, workers):
+        built = []
+        monkeypatch.setattr(splitfactor.verify, "instance", lambda *args: built.append(args))
+        # 4096 instances: two workers would take the pool
+        with pytest.raises(GraphError, match="^max_len must be an int of at least 2, got 1$"):
+            sweep(CorpusSpec("exhaustive", 4, 3), workers=workers, max_len=1)
+        assert built == []
+
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
         reason="only forked workers see the patched check",
