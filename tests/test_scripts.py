@@ -28,7 +28,6 @@ def test_extremal_table_runs_uninstalled():
     assert [row.split()[0] for row in rows] == ["1", "2", "3", "4", "5", "6"]
 
 
-
 def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path):
     module = tmp_path / "sample.py"
     module.write_text(
