@@ -317,8 +317,13 @@ class SplitGraph:
 
 def _content_lines(text: str) -> Iterator[tuple[int, str, str]]:
     """The 1-based number, stripped text and raw text of every line that is
-    neither blank nor a '#' comment."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    neither blank nor a '#' comment.
+
+    Lines end at '\n' alone, or at '\r\n', whose '\r' ``raw`` drops;
+    ``str.splitlines`` would also break at a form feed, '\x1c'-'\x1e',
+    '\x85' or '\u2028', which here are whitespace inside a line."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        raw = raw.removesuffix("\r")
         line = raw.strip()
         if line and not line.startswith("#"):
             yield lineno, line, raw

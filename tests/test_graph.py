@@ -16,6 +16,7 @@ from splitfactor import (
     SplitGraph,
     format_split_text,
     generate,
+    parse_edge_list,
     parse_split_text,
     recognize_split,
 )
@@ -336,6 +337,36 @@ class TestTextFormat:
         with pytest.raises(ParseError, match="duplicate") as exc:
             parse_split_text("K: a\nI: a\n")
         assert exc.value.lineno == 2
+
+    # characters that str.splitlines() breaks at but the text formats do not
+    INLINE_BREAKS = ["\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
+
+    @pytest.mark.parametrize("sep", INLINE_BREAKS)
+    def test_split_format_counts_lines_at_newlines_only(self, sep):
+        with pytest.raises(ParseError) as exc:
+            parse_split_text(f"K: x\nI: 1\n1 x{sep}1 q\n")
+        assert str(exc.value) == f"line 3: expected an edge line 'u v', got {f'1 x{sep}1 q'!r}"
+        assert parse_split_text(f"K: x{sep}y\nI: 1\n") == SplitGraph(["x", "y"], ["1"])
+
+    @pytest.mark.parametrize("sep", INLINE_BREAKS)
+    def test_edge_list_counts_lines_at_newlines_only(self, sep):
+        with pytest.raises(ParseError) as exc:
+            parse_edge_list(f"a b{sep}c c\n")
+        assert str(exc.value) == f"line 1: expected an edge line 'u v', got {f'a b{sep}c c'!r}"
+        with pytest.raises(ParseError, match="loop") as exc:
+            parse_edge_list(f"V: a{sep}b\nc d\nc c\n")
+        assert exc.value.lineno == 3
+        assert parse_edge_list(f"V: a{sep}b\n") == (["a", "b"], [])
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_split_text, "K: x\r\nI: 1\r\n1 x\r\n1 q x\r\n",
+         "line 4: expected an edge line 'u v', got '1 q x'"),
+        (parse_edge_list, "a b\r\n\r\nc\r\n", "line 3: expected an edge line 'u v', got 'c'"),
+    ], ids=["split-format", "edge-list"])
+    def test_crlf_is_one_line_break(self, parse, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
 
     @settings(max_examples=60, deadline=None)
     @given(split_graphs())
