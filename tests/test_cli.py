@@ -227,7 +227,9 @@ class TestSweep:
         assert main(["sweep", "--kmax", "2", "--imax", "2", "--workers", "2"]) == 1
         assert "must be an integer" in capsys.readouterr().err
 
-    def test_default_workers_are_usable_cores(self, monkeypatch):
+    @staticmethod
+    def default_workers(monkeypatch):
+        """The worker count a sweep without --workers hands to ``sweep``."""
         import splitfactor.cli
         from splitfactor import SweepSummary
 
@@ -238,11 +240,22 @@ class TestSweep:
             return SweepSummary(0, ())
 
         monkeypatch.delenv("SPLITFACTOR_THREADS", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(splitfactor.cli, "sweep", fake_sweep)
         assert main(["sweep", "--kmax", "2", "--imax", "2"]) == 0
-        assert requested == [1]
+        (workers,) = requested
+        return workers
+
+    def test_default_workers_are_usable_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert self.default_workers(monkeypatch) == 1
+
+    @pytest.mark.parametrize("cores, workers", [(3, 3), (None, 1)])
+    def test_default_workers_without_affinity_are_cpu_count(self, monkeypatch, cores, workers):
+        # platforms such as macOS and Windows have no os.sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert self.default_workers(monkeypatch) == workers
 
     def test_raising_instance_named_exit_2(self, capsys, monkeypatch):
         import splitfactor.verify
