@@ -58,7 +58,11 @@ keeps each law's first witness and note.  ``verify_all`` runs every law on
 one context, and each public check builds one of its own.  The two
 whole-graph laws decide by certificate where one exists (an umbrella-free
 degree order; a connected phi with |I| - 1 within the bound) and search
-for a witness only otherwise.
+for a witness only otherwise.  ``verify_all`` decides the per-path laws on
+induced paths of 2 and 3 vertices the same way: once the builder and pair
+laws pass, those laws hold on every such path (the proof is in its
+docstring), so it checks only the paths of 4 or more vertices, and runs the
+full pass whenever an earlier law has failed.
 """
 
 from __future__ import annotations
@@ -179,14 +183,18 @@ def is_induced_cycle(phi: FactorGraph, vertices: Sequence[str]) -> bool:
     return _is_induced(phi, vertices, True)
 
 
-def _induced_path_indices(nbr: tuple[int, ...], max_len: int) -> list[tuple[int, ...]]:
-    """Induced paths on 2..max_len vertices, each kept once, from its smaller end.
+def _induced_path_indices(
+    nbr: tuple[int, ...], max_len: int, min_len: int = 2
+) -> list[tuple[int, ...]]:
+    """Induced paths on min_len..max_len vertices, each kept once, from its
+    smaller end.
 
     ``blocked`` holds the path's vertices and the neighbours of every vertex
     before the last, so a path grows only by neighbours of its last vertex
     outside it.  A path is kept from start ``s`` only if it ends above s, so
     no search starts at the last vertex, and a path's children are not
-    pushed once they would block every vertex above s.
+    pushed once they would block every vertex above s.  A shorter path is
+    still grown, so the kept paths come in the same order whatever min_len.
     """
     out: list[tuple[int, ...]] = []
     n = len(nbr)
@@ -197,10 +205,14 @@ def _induced_path_indices(nbr: tuple[int, ...], max_len: int) -> list[tuple[int,
             path, blocked = stack.pop()
             last = path[-1]
             child = blocked | nbr[last]
-            grow = len(path) + 1 < max_len and above & ~child
+            size = len(path) + 1
+            grow = size < max_len and above & ~child
+            keep = size >= min_len
+            if not (keep or grow):
+                continue
             for w in bits(nbr[last] & ~blocked):
                 grown = path + (w,)
-                if s < w:
+                if keep and s < w:
                     out.append(grown)
                 if grow:
                     stack.append((grown, child))
@@ -546,13 +558,14 @@ def _check_pendant(ctx: _Context, seq: tuple[int, ...]) -> None:
 
 
 def _check_paths(
-    ctx: _Context, paths: Iterable[Sequence[str]] | None, max_len: int | None = None
+    ctx: _Context, paths: Iterable[Sequence[str]] | None, max_len: int | None = None,
+    min_len: int = 2,
 ) -> None:
     """Per-path laws over the caller's paths, each validated as induced, or
-    over every induced path of phi on at most ``max_len`` vertices."""
+    over every induced path of phi on min_len to ``max_len`` vertices."""
     ctx.table()  # the per-path laws read ctx.mult
     if paths is None:
-        seqs = _induced_path_indices(ctx.nbr, _path_cap(ctx.n, max_len))
+        seqs = _induced_path_indices(ctx.nbr, _path_cap(ctx.n, max_len), min_len)
     else:
         seqs = []
         for path in paths:
@@ -639,9 +652,33 @@ def verify_all(
     """Run every structural check against one split graph.
 
     Builds the factor graph both ways, checks the builder and size
-    identities, the pairwise laws, every path law over the full
-    induced-path enumeration (capped at ``max_len`` vertices when given),
-    and the two whole-graph laws, all on one check context.
+    identities, the pairwise laws, every path law over the induced paths
+    (capped at ``max_len`` vertices when given), and the two whole-graph
+    laws, all on one check context.
+
+    When none of the builder and pair laws has failed, the per-path laws
+    are checked on induced paths of 4 or more vertices only: on 2 and 3
+    vertices they follow from those laws, so every result, witness and note
+    is the one the full pass would give.  The proof takes the enumeration
+    builder as the count of 2-switches, against which builders-agree checks
+    phi.  Write N_u for u's neighborhood in S, d_u for its size and
+    p_u = |N_u - N_v| across an edge uv of phi.
+
+    - An edge uv, u head-maximal (d_u >= d_v, so p_u >= p_v): with the
+      builders agreeing its multiplicity counts the 2-switches, p_u * p_v.
+      The union excess is |N_u | N_v| - d_u = p_v, which is positive,
+      divides p_u * p_v and has p_v ** 2 <= p_u * p_v.  When the clique
+      premise holds the union is K, so |K| - d_u = p_v as well.
+    - A 3-vertex path (a, b, c): a and c are non-adjacent, so by
+      nesting-iff-zero the smaller of N_a and N_c (by degree) lies inside
+      the other.  For a head-maximal head a that puts N_c inside N_a, so the
+      inclusion chain and the union collapse hold, and the path's union is
+      the first edge's union, which the edge case covers.  When d_a <= d_b
+      and m(b, c) = 1, simple-edge-balanced gives d_b = d_c and
+      N_c - N_b = {z}, and nesting gives N_a inside N_c, so N_a - N_b, not
+      empty as m(a, b) > 0, is {z}.  That is the pendant difference; the
+      tail decomposition follows, with N_c proper in N_a | N_b because
+      N_b - N_c is not empty; and m(a, b) = p_b = d_b - d_a + 1.
     """
     if instance is None:
         instance = f"splitgraph-k{S.k_size}-i{len(S.independent)}-e{S.edge_count()}"
@@ -654,7 +691,8 @@ def verify_all(
     if size != phi_enum.size():
         ctx.failed[SIZE_DEGREE] = f"size {size} != switch degree {phi_enum.size()}"
     _check_pairs(ctx)
-    _check_paths(ctx, None, max_len)
+    # with every law so far passing, the path laws hold below 4 vertices
+    _check_paths(ctx, None, max_len, 2 if ctx.failed else 4)
     _check_cycles(ctx)
     _check_diameter(ctx)
     return VerificationReport(instance, ctx.results(CHECK_NAMES))

@@ -21,6 +21,7 @@ from splitfactor import (
     check_cycle_bound,
     check_diameter_bound,
     check_paths,
+    corpus_size,
     enumerate_induced_cycles,
     enumerate_induced_paths,
     instance,
@@ -30,7 +31,15 @@ from splitfactor import (
     sweep,
     verify_all,
 )
-from splitfactor.verify import CYCLE_BOUND, DIAMETER_BOUND, _umbrella_free
+from splitfactor.verify import (
+    CYCLE_BOUND,
+    DIAMETER_BOUND,
+    DIV_CLIQUE,
+    DIV_UNION,
+    NESTING_IFF,
+    SQRT_BOUND,
+    _umbrella_free,
+)
 
 from bruteforce import (
     PATH_LAW_NAMES,
@@ -106,6 +115,18 @@ def fake_builders(monkeypatch, phi):
     """Make verify_all check ``phi`` in place of the factor graph of its input."""
     for name in ("build_by_formula", "build_by_enumeration"):
         monkeypatch.setattr(splitfactor.verify, name, lambda S: phi)
+
+
+def enumeration_one_move_short(monkeypatch):
+    """Make verify_all's enumeration builder count one move too few on phi's first edge."""
+    real = splitfactor.verify.build_by_enumeration
+
+    def one_move_short(S):
+        phi = real(S)
+        (u, v, m), *rest = phi.edges()
+        return FactorGraph(phi.vertices, {(u, v): m - 1, **{(a, b): k for a, b, k in rest}})
+
+    monkeypatch.setattr(splitfactor.verify, "build_by_enumeration", one_move_short)
 
 
 def spy(monkeypatch, owner, name):
@@ -407,14 +428,7 @@ class TestFabricatedFailures:
 
     def test_builder_law_witnesses(self, monkeypatch):
         S = SplitGraph.from_neighborhoods(["a", "b", "c"], self.PAIR_GRAPH)
-        real = splitfactor.verify.build_by_enumeration
-
-        def one_move_short(S):
-            phi = real(S)
-            (u, v, m), *rest = phi.edges()
-            return FactorGraph(phi.vertices, {(u, v): m - 1, **{(a, b): k for a, b, k in rest}})
-
-        monkeypatch.setattr(splitfactor.verify, "build_by_enumeration", one_move_short)
+        enumeration_one_move_short(monkeypatch)
         assert verify_all(S).checks[:2] == [
             CheckResult("builders-agree", False, "formula and enumeration builders disagree"),
             CheckResult("size-equals-switch-degree", False, "size 6 != switch degree 5"),
@@ -698,6 +712,87 @@ class TestCertificates:
         _, bfs = spy_searches(monkeypatch)
         assert check_diameter_bound(demo_graph, star) == CheckResult(DIAMETER_BOUND, True)
         assert len(bfs) == 1
+
+
+def path_indices(phi, paths):
+    return [tuple(map(phi.index_of, path)) for path in paths]
+
+
+class TestShortPathCertificate:
+    """verify_all checks the per-path laws on paths of 2 and 3 vertices only
+    once a builder or pair law has failed; until then those laws decide them."""
+
+    PASSING = [CheckResult(name, True) for name in PATH_LAW_NAMES]
+
+    @pytest.mark.parametrize("spec", [
+        CorpusSpec("exhaustive", 3, 3),
+        CorpusSpec("exhaustive", 4, 4),
+        CorpusSpec("random", 8, 8, count=2000, seed=4242),
+    ], ids=["exhaustive-3x3", "exhaustive-4x4", "random-8x8"])
+    def test_short_path_laws_hold_on_corpus(self, spec):
+        lengths = Counter()
+        for index in range(corpus_size(spec)):
+            S = instance(spec, index)
+            phi = build_by_formula(S)
+            short = enumerate_induced_paths(phi, 3)
+            lengths.update(map(len, short))
+            assert check_paths(S, phi, short) == self.PASSING, instance_id(spec, index)
+        assert lengths[2] and lengths[3]
+
+    def test_clean_instance_checks_only_long_paths(self, monkeypatch):
+        calls = spy(monkeypatch, splitfactor.verify, "_check_path")
+        spec = CorpusSpec("random", 8, 8, count=50, seed=4242)
+        long_paths = 0
+        for index in range(50):
+            S = instance(spec, index)
+            phi = build_by_formula(S)
+            expected = path_indices(phi, [p for p in enumerate_induced_paths(phi) if len(p) >= 4])
+            calls.clear()
+            assert verify_all(S).ok
+            assert [p for _, p in calls] == expected
+            long_paths += len(expected)
+        assert long_paths
+
+    @pytest.mark.parametrize("patch", [
+        "enumeration-builder", "pair-law", "formula-builder",
+    ])
+    def test_failed_law_checks_every_path(self, monkeypatch, patch):
+        # the first instance of the release random 8x8 corpus, unless replaced
+        S = instance(CorpusSpec("random", 8, 8, count=1, seed=4242), 0)
+        phi, path_failures = None, []
+        if patch == "enumeration-builder":
+            enumeration_one_move_short(monkeypatch)
+        elif patch == "pair-law":
+            real = splitfactor.verify._check_pairs
+
+            def failing(ctx):
+                real(ctx)
+                ctx.failed.setdefault(NESTING_IFF, "pair patched")
+
+            monkeypatch.setattr(splitfactor.verify, "_check_pairs", failing)
+        else:
+            # the edge a b carries 2 * 2 = 4 moves
+            S = SplitGraph.from_neighborhoods(list("wxyz"), {"a": set("xy"), "b": set("zw")})
+            phi = chain(("a", "b"), (3,))
+            monkeypatch.setattr(splitfactor.verify, "build_by_formula", lambda S: phi)
+            path_failures = [
+                CheckResult(DIV_UNION, False,
+                            "path a b; union excess 2 does not divide first multiplicity 3"),
+                CheckResult(DIV_CLIQUE, False,
+                            "path a b; clique excess 2 does not divide first multiplicity 3"),
+                CheckResult(SQRT_BOUND, False,
+                            "path a b; union excess 2 exceeds sqrt of first multiplicity 3"),
+            ]
+        if phi is None:
+            phi = build_by_formula(S)
+        expected = check_paths(S, phi)
+        calls = spy(monkeypatch, splitfactor.verify, "_check_path")
+        checks = verify_all(S).checks
+        assert [p for _, p in calls] == path_indices(phi, enumerate_induced_paths(phi))
+        assert any(len(p) < 4 for _, p in calls)
+        results = [c for c in checks if c.name in PATH_LAW_NAMES]
+        assert results == expected
+        assert [c for c in results if not c.passed] == path_failures
 
 
 class TestSweep:
