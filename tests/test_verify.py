@@ -1,5 +1,6 @@
 """Structural checks: enumerators, per-law verdicts, whole-instance reports."""
 
+import hashlib
 import multiprocessing
 import random
 from collections import Counter
@@ -883,3 +884,44 @@ class TestSweep:
         assert pooled.instances == 4096
         assert [i for i, _ in pooled.failed] == [instance_id(spec, 3000)]
         assert pooled.failed[0][1][0].name == "internal-error"
+
+
+def report_digest(reports):
+    """SHA-256 over every check's name, verdict, witness and note, in order."""
+    digest = hashlib.sha256()
+    for report in reports:
+        for c in report.checks:
+            digest.update(repr((c.name, c.passed, c.witness, c.note)).encode())
+    return digest.hexdigest()
+
+
+def fabricated_reports(monkeypatch):
+    """verify_all on 3,000 fabricated (S, phi) pairs, both builders faked."""
+    rng = random.Random(2025)
+    for _ in range(3000):
+        S, phi = fabricated_pair(rng)
+        fake_builders(monkeypatch, phi)
+        yield verify_all(S)
+
+
+class TestPinnedDigest:
+    """verify_all's results on three input sets, pinned by digests taken
+    before the pair and cycle certificates were added: a changed verdict,
+    witness or note on any of them changes its digest."""
+
+    @pytest.mark.parametrize("inputs, expected", [
+        ("exhaustive-3x3", "d61cc190f434f5fa0d15e715917f2bf1ce1ba275f90bde11b51c8dceb04ffdfd"),
+        ("random-8x8-every-fifth",
+         "307d7a187a2b9e19bde3f758b7c74a8ddbd1067b4ff07571a91c25f317075daf"),
+        ("fabricated", "de207891a96066a8794dacfd37c456ce87c59e83f839a5a6a2516a676e9f61ad"),
+    ])
+    def test_digest(self, monkeypatch, inputs, expected):
+        if inputs == "fabricated":
+            reports = fabricated_reports(monkeypatch)
+        else:
+            spec, step = {
+                "exhaustive-3x3": (CorpusSpec("exhaustive", 3, 3), 1),
+                "random-8x8-every-fifth": (CorpusSpec("random", 8, 8, count=10_000, seed=4242), 5),
+            }[inputs]
+            reports = (verify_all(instance(spec, i)) for i in range(0, corpus_size(spec), step))
+        assert report_digest(reports) == expected
