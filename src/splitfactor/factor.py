@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping
 
-from .graph import GraphError, SplitGraph, bits
+from .graph import GraphError, SplitGraph, _pair, bits
 from .switches import _private_label_pairs
 
 
@@ -62,7 +62,8 @@ class FactorGraph:
         given: dict[tuple[int, int], int] = {}  # every entry, zeros included
         mult: dict[tuple[int, int], int] = {}
         nbr = [0] * len(verts)
-        for (a_lab, b_lab), m in multiplicities.items():
+        for key, m in multiplicities.items():
+            a_lab, b_lab = _pair(key)
             if a_lab not in index or b_lab not in index:
                 bad = a_lab if a_lab not in index else b_lab
                 raise GraphError(f"multiplicity references unknown vertex {bad!r}")

@@ -84,6 +84,20 @@ def _check_label(label: object) -> str:
     return label
 
 
+def _pair(item: object) -> tuple[object, object]:
+    """The two ends of an edge or of a multiplicity key.  A string is not a
+    pair, even of two characters, and neither is anything that does not
+    unpack into exactly two items."""
+    if not isinstance(item, str):
+        try:
+            a, b = item
+        except (TypeError, ValueError):
+            pass
+        else:
+            return a, b
+    raise GraphError(f"expected a pair of vertex labels, got {item!r}")
+
+
 def _plain_edge(a: str, b: str) -> tuple[str, str]:
     """Edge a-b of a simple graph: both labels well formed, and not a loop."""
     _check_label(a)
@@ -174,8 +188,8 @@ class SplitGraph:
         k_mask = (1 << k) - 1
         for a in range(k):
             adj[a] = k_mask ^ (1 << a)
-        for a_lab, b_lab in edges:
-            a, b = _edge_ends(index, k, a_lab, b_lab)
+        for edge in edges:
+            a, b = _edge_ends(index, k, *_pair(edge))
             adj[a] |= 1 << b
             adj[b] |= 1 << a
         self.clique = clique_t
@@ -427,8 +441,8 @@ def recognize_split(
     adj: dict[str, set[str]] = {}
     for v in vertices:
         adj.setdefault(_check_label(v), set())
-    for a, b in edges:
-        _plain_edge(a, b)
+    for edge in edges:
+        a, b = _plain_edge(*_pair(edge))
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
     order = sorted(adj, key=lambda v: (-len(adj[v]), v))

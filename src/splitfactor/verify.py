@@ -58,11 +58,18 @@ keeps each law's first witness and note.  ``verify_all`` runs every law on
 one context, and each public check builds one of its own.  The two
 whole-graph laws decide by certificate where one exists (an umbrella-free
 degree order; a connected phi with |I| - 1 within the bound) and search
-for a witness only otherwise.  ``verify_all`` decides the per-path laws on
-induced paths of 2 and 3 vertices the same way: once the builder and pair
-laws pass, those laws hold on every such path (the proof is in its
-docstring), so it checks only the paths of 4 or more vertices, and runs the
-full pass whenever an earlier law has failed.
+for a witness only otherwise.  ``verify_all`` decides more laws the same
+way, each proof in the docstring of the function that relies on it:
+
+- the four pair laws, by one comparability test per unordered I-pair;
+  the scan over every ordered pair runs only when that test fails, to
+  name each law's first witness (``_check_pairs``);
+- the cycle law, by nesting-iff-zero, which makes the degree order
+  umbrella-free; the cycle check runs only when that law fails
+  (``_check_cycles``);
+- the per-path laws on induced paths of 2 and 3 vertices, by the builder
+  and pair laws; once those pass it checks only the paths of 4 or more
+  vertices, and otherwise every path (``verify_all``).
 """
 
 from __future__ import annotations
@@ -192,9 +199,12 @@ def _induced_path_indices(
     ``blocked`` holds the path's vertices and the neighbours of every vertex
     before the last, so a path grows only by neighbours of its last vertex
     outside it.  A path is kept from start ``s`` only if it ends above s, so
-    no search starts at the last vertex, and a path's children are not
-    pushed once they would block every vertex above s.  A shorter path is
-    still grown, so the kept paths come in the same order whatever min_len.
+    no search starts at the last vertex.  A child path is pushed only if a
+    child of its own would be kept (it has a neighbour above s to grow by,
+    and is long enough) or pushed (it is short enough and leaves a vertex
+    above s unblocked), so every popped path keeps or pushes something.  A
+    shorter path is still grown, so the kept paths come in the same order
+    whatever min_len.
     """
     out: list[tuple[int, ...]] = []
     n = len(nbr)
@@ -206,15 +216,16 @@ def _induced_path_indices(
             last = path[-1]
             child = blocked | nbr[last]
             size = len(path) + 1
-            grow = size < max_len and above & ~child
             keep = size >= min_len
-            if not (keep or grow):
-                continue
+            # whether a child's own children are kept, and may be pushed
+            keep_next, grow_next = size + 1 >= min_len, size + 1 < max_len
             for w in bits(nbr[last] & ~blocked):
                 grown = path + (w,)
                 if keep and s < w:
                     out.append(grown)
-                if grow:
+                if size < max_len and (nxt := nbr[w] & ~child) and (
+                    keep_next and nxt & above or grow_next and above & ~(child | nbr[w])
+                ):
                     stack.append((grown, child))
     return out
 
@@ -358,8 +369,57 @@ class _Context:
 
 
 def _check_pairs(ctx: _Context) -> None:
-    """Pair laws over every ordered pair; the number of equal-neighborhood
-    pairs, when there are any, is noted on nesting-iff-zero."""
+    """The four pair laws, decided by one comparability test per I-pair.
+
+    For each pair a < b, with only_a = N_a - N_b and only_b = N_b - N_a,
+    the pass fails when the multiplicity m is 0 exactly when both are
+    non-empty (m > 0 on nested neighborhoods, or m = 0 on unnested ones),
+    or when m is 1 and only_a, only_b are not single vertices; it counts
+    the equal pairs for the note.  When no pair fails, all four laws hold:
+
+    - nesting-iff-zero: take the ordered pair (u, v).  If m = 0, N_u and
+      N_v are nested, so N_v lies inside N_u exactly when d_v <= d_u (on
+      equal degrees nested sets are equal).  If m > 0 they are not nested,
+      and neither side of the law holds.
+    - equality-iff-zero-equal-degrees: equal neighborhoods are nested, so
+      m = 0; m = 0 makes them nested, and equal degrees then make them
+      equal.
+    - twins-equal-phi-rows: phi's simple-view edges are its positive
+      multiplicities, and by the first law vertex c is adjacent to u
+      exactly when N_c and N_u are not nested; that is the same for u and
+      v when N_u = N_v, and u, v themselves are not adjacent.
+    - simple-edge-balanced: single private neighbors on both sides give
+      equal degrees, so the second test is the law itself.
+
+    Only when the pass fails does the ordered scan run, to name each law's
+    first witness.
+    """
+    nmask, n, mult = ctx.nmask, ctx.n, ctx.table()
+    equal_pairs = 0
+    for a in range(n - 1):
+        Na, row = nmask[a], a * n
+        for b in range(a + 1, n):
+            Nb, m = nmask[b], mult[row + b]
+            only_a, only_b = Na & ~Nb, Nb & ~Na
+            if m:
+                if not (only_a and only_b) or (
+                    m == 1 and not only_a.bit_count() == 1 == only_b.bit_count()
+                ):
+                    _find_pair_witnesses(ctx)
+                    return
+            elif only_a and only_b:
+                _find_pair_witnesses(ctx)
+                return
+            elif Na == Nb:
+                equal_pairs += 1
+    if equal_pairs:
+        ctx.notes[NESTING_IFF] = f"neighborhood-equal-pairs={equal_pairs}"
+
+
+def _find_pair_witnesses(ctx: _Context) -> None:
+    """Pair laws over every ordered pair, each keeping its first witness;
+    the number of equal-neighborhood pairs, when there are any, is noted on
+    nesting-iff-zero."""
     labels, deg, nmask, nbr, failed = ctx.labels, ctx.deg, ctx.nmask, ctx.nbr, ctx.failed
     n, mult = ctx.n, ctx.table()
     equal_pairs = 0
@@ -580,9 +640,11 @@ def _check_cycles(ctx: _Context) -> None:
     """Every induced cycle has length 3 or 4.
 
     Cycles are enumerated only when I, ordered by degree in S (largest
-    first, ties by index), has an umbrella.  On phi(S) it never has one:
-    multiplicity 0 means nested neighborhoods, so non-edges u-v, v-w down
-    the order nest N_w in N_u and make u-w a non-edge too.
+    first, ties by index), has an umbrella.  Wherever nesting-iff-zero
+    holds it has none: take u before v before w with u-v and v-w
+    non-edges.  Multiplicity 0 with d_v <= d_u puts N_v inside N_u, and
+    likewise N_w inside N_v, so N_w lies inside N_u with d_w <= d_u, and
+    the law makes u-w a non-edge too.  On phi(S) the law always holds.
     """
     if _umbrella_free(ctx.nbr, sorted(range(ctx.n), key=ctx.deg.__getitem__, reverse=True)):
         return
@@ -679,6 +741,12 @@ def verify_all(
       empty as m(a, b) > 0, is {z}.  That is the pendant difference; the
       tail decomposition follows, with N_c proper in N_a | N_b because
       N_b - N_c is not empty; and m(a, b) = p_b = d_b - d_a + 1.
+
+    The cycle law is checked only when nesting-iff-zero has failed: that
+    law alone makes the degree order umbrella-free, which rules out an
+    induced cycle on 5 or more vertices (the proof is in ``_check_cycles``).
+    The short-path certificate trusts the enumeration builder's count of
+    2-switches; the cycle certificate does not, and holds for any phi.
     """
     if instance is None:
         instance = f"splitgraph-k{S.k_size}-i{len(S.independent)}-e{S.edge_count()}"
@@ -693,7 +761,8 @@ def verify_all(
     _check_pairs(ctx)
     # with every law so far passing, the path laws hold below 4 vertices
     _check_paths(ctx, None, max_len, 2 if ctx.failed else 4)
-    _check_cycles(ctx)
+    if NESTING_IFF in ctx.failed:
+        _check_cycles(ctx)
     _check_diameter(ctx)
     return VerificationReport(instance, ctx.results(CHECK_NAMES))
 
@@ -744,6 +813,7 @@ def sweep(spec: CorpusSpec, workers: int = 1, max_len: int | None = None) -> Swe
         import multiprocessing
 
         chunk = max(256, -(-total // (workers * 4)))
-        with multiprocessing.Pool(workers) as pool:
+        # a worker beyond the number of chunks would get no work
+        with multiprocessing.Pool(min(workers, -(-total // chunk))) as pool:
             failed = [found for found in pool.imap(check, range(total), chunk) if found]
     return SweepSummary(total, tuple(failed))

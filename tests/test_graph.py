@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from splitfactor import (
     CorpusSpec,
+    FactorGraph,
     GraphError,
     ParseError,
     SplitGraph,
@@ -89,6 +90,17 @@ class TestConstruction:
     def test_duplicate_label_rejected(self):
         with pytest.raises(GraphError, match="duplicate"):
             SplitGraph(["x", "y"], ["x"])
+
+    @pytest.mark.parametrize("item", ["ab", ("a", "b", "c"), 5], ids=["string", "triple", "int"])
+    @pytest.mark.parametrize("build", [
+        lambda item: SplitGraph(["a"], ["b"], [item]),
+        lambda item: recognize_split([item]),
+        lambda item: FactorGraph(("a", "b"), {item: 1}),
+    ], ids=["SplitGraph", "recognize_split", "FactorGraph"])
+    def test_non_pair_edge_rejected(self, build, item):
+        with pytest.raises(GraphError) as exc:
+            build(item)
+        assert str(exc.value) == f"expected a pair of vertex labels, got {item!r}"
 
     @pytest.mark.parametrize("label", ["", "a b", "#tag", 7, None])
     def test_bad_labels_rejected(self, label):

@@ -4,7 +4,7 @@ import hashlib
 import multiprocessing
 import random
 from collections import Counter
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -37,8 +37,14 @@ from splitfactor.verify import (
     DIAMETER_BOUND,
     DIV_CLIQUE,
     DIV_UNION,
+    EQUALITY_IFF,
     NESTING_IFF,
+    SIMPLE_BALANCED,
     SQRT_BOUND,
+    TWIN_ROWS,
+    _check_pairs,
+    _Context,
+    _find_pair_witnesses,
     _umbrella_free,
 )
 
@@ -105,6 +111,17 @@ def fabricated_pair(rng):
             if (labels[a], labels[b]) not in mult and rng.random() < density:
                 mult[labels[a], labels[b]] = rng.randint(1, 4)
     return S, FactorGraph(labels, mult)
+
+
+def nested_zero(rng, S):
+    """A multigraph on S's independent set with multiplicity 0 exactly on
+    the pairs with nested neighbourhoods, and 1-4 on every other pair."""
+    nb = {v: S.neighborhood(v) for v in S.independent}
+    return FactorGraph(S.independent, {
+        (u, v): rng.randint(1, 4)
+        for u, v in combinations(S.independent, 2)
+        if not (nb[u] <= nb[v] or nb[v] <= nb[u])
+    })
 
 
 def degree_order(S, phi):
@@ -796,6 +813,90 @@ class TestShortPathCertificate:
         assert [c for c in results if not c.passed] == path_failures
 
 
+    def test_faked_builders_pass_short_paths_unchecked(self, monkeypatch):
+        # the edge a b carries 2 * 2 = 4 moves; both builders claim 3, so the
+        # builder and pair laws pass and the 2-vertex path is not checked
+        S = SplitGraph.from_neighborhoods(list("wxyz"), {"a": set("xy"), "b": set("zw")})
+        phi = chain(("a", "b"), (3,))
+        fake_builders(monkeypatch, phi)
+        assert verify_all(S).ok
+        assert [c for c in check_paths(S, phi) if not c.passed] == [
+            CheckResult(DIV_UNION, False,
+                        "path a b; union excess 2 does not divide first multiplicity 3"),
+            CheckResult(DIV_CLIQUE, False,
+                        "path a b; clique excess 2 does not divide first multiplicity 3"),
+            CheckResult(SQRT_BOUND, False,
+                        "path a b; union excess 2 exceeds sqrt of first multiplicity 3"),
+        ]
+
+
+def ordered_scan(S, phi):
+    """The context after the ordered pair scan alone."""
+    ctx = _Context(S, phi)
+    _find_pair_witnesses(ctx)
+    return ctx
+
+
+class TestPairCertificate:
+    """verify_all decides the four pair laws by one comparability test per
+    I-pair, and the cycle law by nesting-iff-zero: the ordered pair scan runs
+    only when a pair law fails, and the cycle check only when nesting does."""
+
+    @staticmethod
+    def fabricated(seed, count):
+        """fabricated_pair's (S, phi), with every other phi replaced by one
+        that is zero exactly on S's nested pairs, so nesting-iff-zero holds."""
+        rng = random.Random(seed)
+        for t in range(count):
+            S, phi = fabricated_pair(rng)
+            yield S, nested_zero(rng, S) if t % 2 else phi
+
+    def test_nesting_implies_equality_twins_and_cycle_bound(self):
+        premise = Counter()
+        for S, phi in self.fabricated(77, 600):
+            failed = ordered_scan(S, phi).failed
+            if NESTING_IFF in failed:
+                continue
+            premise[any(phi.edges())] += 1
+            assert EQUALITY_IFF not in failed and TWIN_ROWS not in failed
+            assert check_cycle_bound(S, phi).passed
+            assert all(len(c) <= 4 for c in brute_induced_cycles(phi))
+        assert premise[True] > 100
+
+    def test_one_pass_fails_exactly_when_a_pair_law_does(self, monkeypatch):
+        scans = spy(monkeypatch, splitfactor.verify, "_find_pair_witnesses")
+        outcomes = Counter()
+        for S, phi in self.fabricated(78, 2000):
+            expected = ordered_scan(S, phi)
+            ctx = _Context(S, phi)
+            scans.clear()
+            _check_pairs(ctx)
+            assert (ctx.failed, ctx.notes) == (expected.failed, expected.notes)
+            assert bool(scans) == bool(expected.failed)
+            outcomes[bool(expected.failed), NESTING_IFF in expected.failed] += 1
+        # passing, failing nesting, and failing only the other pair laws all occur
+        assert min(outcomes.values()) > 50 and len(outcomes) == 3
+
+    def test_ordered_scan_and_cycle_check_run_only_on_failure(self, monkeypatch):
+        scans = spy(monkeypatch, splitfactor.verify, "_find_pair_witnesses")
+        cycles = spy(monkeypatch, splitfactor.verify, "_check_cycles")
+        for spec in (CorpusSpec("exhaustive", 3, 3), CorpusSpec("random", 8, 8, count=300, seed=4242)):
+            for index in range(corpus_size(spec)):
+                assert verify_all(instance(spec, index)).ok
+        assert scans == [] and cycles == []
+        # a simple edge between unbalanced neighbourhoods fails only simple-edge-balanced
+        S = SplitGraph.from_neighborhoods(list("xyz"), {"a": {"x"}, "b": {"y", "z"}})
+        fake_builders(monkeypatch, chain(("a", "b"), (1,)))
+        assert [c.name for c in verify_all(S).failures()] == [SIMPLE_BALANCED]
+        assert len(scans) == 1 and cycles == []
+        # twins joined by an edge fail nesting-iff-zero
+        labels = tuple("abcde")
+        fake_builders(monkeypatch, ring(labels))
+        failures = verify_all(one_clique_vertex(labels)).failures()
+        assert CheckResult(CYCLE_BOUND, False, "cycle a b c d e; length 5") in failures
+        assert len(scans) == 2 and len(cycles) == 1
+
+
 class TestSweep:
     def test_exhaustive_2x2(self):
         summary = sweep(CorpusSpec("exhaustive", 2, 2))
@@ -813,6 +914,31 @@ class TestSweep:
         parallel = sweep(spec, workers=2)
         assert inline == parallel
         assert inline.instances == 4096 and inline.ok
+
+    def test_pool_no_larger_than_chunk_count(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            """Records its size and maps in this process, so no process starts."""
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, iterable, chunksize):
+                return map(func, iterable)
+
+        monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+        # 4,096 instances cut into 16 chunks of 256
+        spec = CorpusSpec("exhaustive", 4, 3)
+        assert sweep(spec, workers=64) == sweep(spec, workers=1)
+        assert sweep(spec, workers=2).instances == 4096
+        assert sizes == [16, 2]
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
