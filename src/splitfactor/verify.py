@@ -200,11 +200,11 @@ def _induced_path_indices(
     before the last, so a path grows only by neighbours of its last vertex
     outside it.  A path is kept from start ``s`` only if it ends above s, so
     no search starts at the last vertex.  A child path is pushed only if a
-    child of its own would be kept (it has a neighbour above s to grow by,
-    and is long enough) or pushed (it is short enough and leaves a vertex
-    above s unblocked), so every popped path keeps or pushes something.  A
-    shorter path is still grown, so the kept paths come in the same order
-    whatever min_len.
+    child of its own could be kept (the child path is long enough and has a
+    neighbour above s to grow by) or grown (it is short enough and leaves a
+    vertex above s unblocked): a path that could do neither would yield
+    nothing when popped.  A shorter path is still grown, so the kept paths
+    come in the same order whatever min_len.
     """
     out: list[tuple[int, ...]] = []
     n = len(nbr)
