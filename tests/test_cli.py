@@ -29,6 +29,34 @@ I: 1 2 3 4
 """
 
 
+EXTREMAL_7_DOT = """\
+K: x1 x2 x3 x4 x5
+I: y1 y2 y3 y4 y5
+y1 x1
+y2 x2
+y3 x1
+y3 x3
+y4 x1
+y4 x2
+y4 x4
+y5 x1
+y5 x2
+y5 x3
+y5 x5
+graph phi {
+  "y1";
+  "y2";
+  "y3";
+  "y4";
+  "y5";
+  "y1" -- "y2" [label=1, penwidth=1];
+  "y2" -- "y3" [label=2, penwidth=2];
+  "y3" -- "y4" [label=2, penwidth=2];
+  "y4" -- "y5" [label=2, penwidth=2];
+}
+"""
+
+
 @pytest.fixture
 def demo_file(tmp_path):
     f = tmp_path / "demo.split"
@@ -184,6 +212,11 @@ class TestExtremal:
         out = capsys.readouterr().out
         assert out.startswith("K: x1 x2 x3 x4\n")
         assert "graph phi {" in out
+
+    def test_member_7_with_dot_frozen(self, capsys):
+        assert main(["extremal", "7", "--dot"]) == 0
+        out, err = capsys.readouterr()
+        assert out == EXTREMAL_7_DOT and err == ""
 
     def test_bad_index_exit_1(self, capsys):
         assert main(["extremal", "0"]) == 1

@@ -186,6 +186,23 @@ class TestFactorGraphType:
         with pytest.raises(GraphError, match="duplicate"):
             FactorGraph(("a", "a"), {})
 
+    @pytest.mark.parametrize("vertices, mult, message", [
+        ([1, 2], {(1, 2): 1}, "vertex label must be a non-empty string, got 1"),
+        ([["a"]], {}, "vertex label must be a non-empty string, got ['a']"),
+        (["a", "b c"], {}, "vertex label may not contain whitespace: 'b c'"),
+        (["a", "a", 7], {}, "vertex label must be a non-empty string, got 7"),
+    ], ids=["int", "unhashable", "whitespace", "bad-label-before-duplicate"])
+    def test_bad_vertex_label_rejected(self, vertices, mult, message):
+        with pytest.raises(GraphError) as exc:
+            FactorGraph(vertices, mult)
+        assert str(exc.value) == message
+
+    def test_unhashable_query_rejected(self, demo_graph):
+        phi = build_by_formula(demo_graph)
+        with pytest.raises(GraphError) as exc:
+            phi.multiplicity(["1"], "2")
+        assert str(exc.value) == "unknown vertex ['1']"
+
     def test_unknown_vertex_query_rejected(self):
         phi = FactorGraph(("a", "b"), {("a", "b"): 1})
         with pytest.raises(GraphError) as exc:

@@ -91,6 +91,21 @@ class TestConstruction:
         with pytest.raises(GraphError, match="duplicate"):
             SplitGraph(["x", "y"], ["x"])
 
+    def test_bad_label_reported_before_duplicate(self):
+        with pytest.raises(GraphError) as exc:
+            SplitGraph(["x", "x"], [7])
+        assert str(exc.value) == "vertex label must be a non-empty string, got 7"
+
+    @pytest.mark.parametrize("edge, bad", [
+        ((["a"], "b"), "['a']"),
+        (("a", ["b"]), "['b']"),
+        ((1, "b"), "1"),
+    ], ids=["unhashable-first", "unhashable-second", "int"])
+    def test_non_label_edge_end_rejected(self, edge, bad):
+        with pytest.raises(GraphError) as exc:
+            SplitGraph(["a"], ["b"], [edge])
+        assert str(exc.value) == f"edge references unknown vertex {bad}"
+
     @pytest.mark.parametrize("item", ["ab", ("a", "b", "c"), 5], ids=["string", "triple", "int"])
     @pytest.mark.parametrize("build", [
         lambda item: SplitGraph(["a"], ["b"], [item]),
@@ -233,6 +248,12 @@ class TestQueries:
         with pytest.raises(GraphError, match="unknown vertex"):
             demo_graph.index_of("nope")
         assert not demo_graph.has_vertex("nope")
+
+    def test_unhashable_label_is_unknown(self, demo_graph):
+        with pytest.raises(GraphError) as exc:
+            demo_graph.neighborhood(["x"])
+        assert str(exc.value) == "unknown vertex ['x']"
+        assert demo_graph.has_vertex(["x"]) is False
 
     @settings(max_examples=60, deadline=None)
     @given(split_graphs())

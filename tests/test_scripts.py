@@ -28,6 +28,22 @@ def test_extremal_table_runs_uninstalled():
     assert [row.split()[0] for row in rows] == ["1", "2", "3", "4", "5", "6"]
 
 
+EXTREMAL_TABLE_6 = """\
+  n  |K|  |I|  deg  len  diam  bound  pattern
+---------------------------------------------
+  1    2    2    1    1     1      1  [1]
+  2    2    3    2    2     2      2  [1 1]
+  3    3    3    3    2     2      2  [1 2]
+  4    3    4    4    3     3      3  [1 2 1]
+  5    4    4    5    3     3      3  [1 2 2]
+  6    4    5    6    4     4      4  [1 2 2 1]
+"""
+
+
+def test_extremal_table_output_frozen():
+    assert run_script("scripts/extremal_table.py", "--max-n", "6").stdout == EXTREMAL_TABLE_6
+
+
 def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path):
     module = tmp_path / "sample.py"
     module.write_text(

@@ -182,6 +182,18 @@ class TestApply:
             apply_two_switch(demo_graph, TwoSwitch(*move))
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("move, message", [
+        ((["1"], "x", "2", "y"), "unknown vertex ['1']"),
+        (("1", "x", "2"), "a 2-switch is four vertex labels (u, x, v, y), got ('1', 'x', '2')"),
+        (("1", "x", "2", "y", "z"),
+         "a 2-switch is four vertex labels (u, x, v, y), got ('1', 'x', '2', 'y', 'z')"),
+        ("1x2y", "a 2-switch is four vertex labels (u, x, v, y), got '1x2y'"),
+    ], ids=["unhashable-label", "three-labels", "five-labels", "string"])
+    def test_malformed_move_rejected(self, demo_graph, move, message):
+        with pytest.raises(GraphError) as exc:
+            apply_two_switch(demo_graph, move)
+        assert str(exc.value) == message
+
     def test_coincident_endpoints_rejected(self, demo_graph):
         with pytest.raises(GraphError, match="coincide"):
             apply_two_switch(demo_graph, TwoSwitch("1", "x", "1", "y"))

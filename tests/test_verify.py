@@ -290,6 +290,17 @@ class TestValidators:
         )
         assert not is_induced_cycle(phi_chord, ("a", "b", "c", "d"))
 
+    @pytest.mark.parametrize("validator", [is_induced_path, is_induced_cycle])
+    def test_string_is_not_a_vertex_sequence(self, demo_graph, validator):
+        # "12" would otherwise read as the path 1-2
+        with pytest.raises(GraphError) as exc:
+            validator(build_by_formula(demo_graph), "12")
+        assert str(exc.value) == "expected a sequence of vertex labels, got '12'"
+
+    def test_unhashable_label_is_unknown(self, demo_graph):
+        with pytest.raises(GraphError, match=r"unknown vertex \['2'\]"):
+            is_induced_path(build_by_formula(demo_graph), ("1", ["2"]))
+
     def test_validators_match_pairwise_scan(self):
         rng = random.Random(2024)
         checked = 0
@@ -341,6 +352,11 @@ class TestPerPathChecks:
     def test_non_induced_sequence_rejected(self, demo_graph, path):
         with pytest.raises(GraphError, match=f"not an induced path: {' '.join(path)}"):
             check_paths(demo_graph, paths=[path])
+
+    def test_string_path_rejected(self, demo_graph):
+        with pytest.raises(GraphError) as exc:
+            check_paths(demo_graph, paths=["123"])
+        assert str(exc.value) == "expected a sequence of vertex labels, got '123'"
 
     def test_mismatched_factor_graph_rejected(self, demo_graph):
         wrong = FactorGraph(("1", "2"), {("1", "2"): 1})
