@@ -27,7 +27,7 @@ def main() -> int:
     for n in range(1, args.max_n + 1):
         inst = build_extremal(n)
         phi = build_by_formula(inst.graph)
-        summary = phi.diameter()
+        diam = phi.diameter()
         bound = (phi.size() + 2) // 2
         pattern = " ".join(
             str(phi.multiplicity(u, v))
@@ -38,7 +38,7 @@ def main() -> int:
         mark = "" if not failures else "  <- " + ", ".join(r.name for r in failures)
         print(
             f"{n:>3} {inst.graph.k_size:>4} {len(inst.graph.independent):>4} "
-            f"{phi.size():>4} {inst.path_length:>4} {summary.value!s:>5} "
+            f"{phi.size():>4} {inst.path_length:>4} {diam!s:>5} "
             f"{bound:>6}  [{pattern}]{mark}"
         )
     if bad:

@@ -23,7 +23,6 @@ from .extremal import (
     verify_extremal,
 )
 from .factor import (
-    DiameterSummary,
     FactorGraph,
     build_by_enumeration,
     build_by_formula,
@@ -62,7 +61,6 @@ __all__ = [
     "CHECK_NAMES",
     "CheckResult",
     "CorpusSpec",
-    "DiameterSummary",
     "EXTREMAL_CHECK_NAMES",
     "ExtremalInstance",
     "FactorGraph",

@@ -141,6 +141,6 @@ def verify_extremal(inst: ExtremalInstance) -> list[CheckResult]:
 
     diam = phi.diameter()
     bound = (phi.size() + 2) // 2
-    if not (diam.connected and diam.value == length and bound == length):
-        failed[EXTREMAL_DIAMETER] = f"n={n}; diameter {diam.value}, bound {bound}, want {length}"
+    if not (diam == length and bound == length):
+        failed[EXTREMAL_DIAMETER] = f"n={n}; diameter {diam}, bound {bound}, want {length}"
     return ctx.results(EXTREMAL_CHECK_NAMES)

@@ -14,34 +14,20 @@ list sizes, so a fault in the product does not carry over to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping
 
-from .graph import GraphError, SplitGraph, _pair, bits
+from .graph import GraphError, SplitGraph, _label_index, _lookup, _pair, bits
 from .switches import _private_label_pairs
-
-
-@dataclass(frozen=True)
-class DiameterSummary:
-    """Diameter of the underlying simple view.
-
-    ``value`` is None when the graph is disconnected; per-component
-    diameters are then reported instead.  The empty graph gets value 0
-    and the ``empty`` flag.
-    """
-
-    connected: bool
-    value: int | None
-    component_diameters: tuple[int, ...]
-    empty: bool = False
 
 
 class FactorGraph:
     """Loopless multigraph on labeled vertices with positive multiplicities.
 
-    The multiplicity map is sparse: absent pairs have multiplicity zero
-    and zero entries are never stored.  Instances are immutable.
+    Vertex labels follow ``SplitGraph``'s rule: unique non-empty strings
+    with no whitespace, not starting with '#'.  The multiplicity map is
+    sparse: absent pairs have multiplicity zero and zero entries are never
+    stored.  Instances are immutable.
     """
 
     __slots__ = ("vertices", "_index", "_mult", "_nbr_masks")
@@ -54,33 +40,23 @@ class FactorGraph:
         multiplicities: Mapping[tuple[str, str], int],
     ):
         verts = tuple(vertices)
-        index: dict[str, int] = {}
-        for pos, v in enumerate(verts):
-            if v in index:
-                raise GraphError(f"duplicate vertex label: {v!r}")
-            index[v] = pos
+        index = _label_index(verts)
         given: dict[tuple[int, int], int] = {}  # every entry, zeros included
         mult: dict[tuple[int, int], int] = {}
-        nbr = [0] * len(verts)
         for key, m in multiplicities.items():
             a_lab, b_lab = _pair(key)
-            if a_lab not in index or b_lab not in index:
-                bad = a_lab if a_lab not in index else b_lab
-                raise GraphError(f"multiplicity references unknown vertex {bad!r}")
-            if a_lab == b_lab:
+            a = _lookup(index, a_lab, "multiplicity")
+            b = _lookup(index, b_lab, "multiplicity")
+            if a == b:
                 raise GraphError(f"loop multiplicity on {a_lab!r}")
             if type(m) is not int or m < 0:  # exact type: bool is an int subclass
                 raise GraphError(f"multiplicity of {a_lab!r}-{b_lab!r} must be a non-negative int")
-            a, b = index[a_lab], index[b_lab]
             key = (a, b) if a < b else (b, a)
             if given.setdefault(key, m) != m:
                 raise GraphError(f"conflicting multiplicities for {a_lab!r}-{b_lab!r}")
-            if m == 0:
-                continue
-            mult[key] = m
-            nbr[a] |= 1 << b
-            nbr[b] |= 1 << a
-        _assemble(self, verts, mult, nbr, index)
+            if m:
+                mult[key] = m
+        _assemble(self, verts, mult, index)
 
     def __setattr__(self, name, value):
         # _nbr_masks is set last, by _assemble and by pickle and copy, which follow __slots__
@@ -94,10 +70,7 @@ class FactorGraph:
     # -- queries --------------------------------------------------------------
 
     def index_of(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise GraphError(f"unknown vertex {label!r}") from None
+        return _lookup(self._index, label)
 
     def multiplicity(self, u: str, v: str) -> int:
         a, b = self.index_of(u), self.index_of(v)
@@ -163,33 +136,36 @@ class FactorGraph:
             seen |= frontier
         return seen, dist
 
-    def diameter(self) -> DiameterSummary:
-        n = len(self.vertices)
-        if n == 0:
-            return DiameterSummary(connected=True, value=0, component_diameters=(), empty=True)
-        comps: dict[int, int] = {}  # a BFS's reach is its component; discovery order
-        for v in range(n):
+    def diameter(self) -> int | None:
+        """The largest distance between two vertices of the simple view: 0 on
+        at most one vertex, None when the view is disconnected."""
+        everyone = (1 << len(self.vertices)) - 1
+        value = 0
+        for v in range(len(self.vertices)):
             seen, dist = self.reach(v)
-            comps[seen] = max(comps.get(seen, 0), dist)
-        per_comp = tuple(comps.values())
-        if len(per_comp) == 1:
-            return DiameterSummary(connected=True, value=per_comp[0], component_diameters=per_comp)
-        return DiameterSummary(connected=False, value=None, component_diameters=per_comp)
+            if seen != everyone:
+                return None
+            value = max(value, dist)
+        return value
 
 
 def _assemble(
     g: FactorGraph,
     vertices: tuple[str, ...],
     mult: dict[tuple[int, int], int],
-    nbr: list[int],
     index: dict[str, int] | None = None,
 ) -> FactorGraph:
     """Fill ``g`` from index space and return it.  ``mult`` holds the positive
-    multiplicities keyed (a, b) with a < b, by position in ``vertices``,
-    ``nbr`` the matching neighbor masks and ``index`` each vertex's position
-    (built here when not given).  Nothing is checked."""
+    multiplicities keyed (a, b) with a < b, by position in ``vertices``, and
+    ``index`` each vertex's position (built here when not given).  The simple
+    view's neighbor masks are derived from ``mult``'s keys.  Nothing is
+    checked."""
     if index is None:
         index = dict(zip(vertices, range(len(vertices))))
+    nbr = [0] * len(vertices)
+    for a, b in mult:
+        nbr[a] |= 1 << b
+        nbr[b] |= 1 << a
     init = object.__setattr__  # skips the immutability guard's lookups
     init(g, "vertices", vertices)
     init(g, "_index", index)
@@ -208,7 +184,6 @@ def build_by_formula(S: SplitGraph) -> FactorGraph:
     degrees = [m.bit_count() for m in masks]
     n = len(masks)
     mult: dict[tuple[int, int], int] = {}
-    nbr = [0] * n
     for a in range(n):
         ma = masks[a]
         da = degrees[a]
@@ -217,9 +192,7 @@ def build_by_formula(S: SplitGraph) -> FactorGraph:
             m = (da - shared) * (degrees[b] - shared)
             if m:
                 mult[a, b] = m
-                nbr[a] |= 1 << b
-                nbr[b] |= 1 << a
-    return _assemble(object.__new__(FactorGraph), S.independent, mult, nbr)
+    return _assemble(object.__new__(FactorGraph), S.independent, mult)
 
 
 def build_by_enumeration(S: SplitGraph) -> FactorGraph:
@@ -232,12 +205,9 @@ def build_by_enumeration(S: SplitGraph) -> FactorGraph:
     the count stays independent of the product ``build_by_formula`` uses.
     """
     mult: dict[tuple[int, int], int] = {}
-    nbr = [0] * len(S.independent)
     for a, b, xs, ys in _private_label_pairs(S):
         mult[a, b] = len(list(product(xs, ys)))
-        nbr[a] |= 1 << b
-        nbr[b] |= 1 << a
-    return _assemble(object.__new__(FactorGraph), S.independent, mult, nbr)
+    return _assemble(object.__new__(FactorGraph), S.independent, mult)
 
 
 # -- output -----------------------------------------------------------------------

@@ -84,6 +84,31 @@ def _check_label(label: object) -> str:
     return label
 
 
+def _label_index(labels: Sequence[object]) -> dict[str, int]:
+    """Each label's position in ``labels``.  Every label is checked to be
+    well formed before any is checked to be unique; GraphError names the
+    first fault."""
+    for label in labels:
+        _check_label(label)
+    index: dict[str, int] = {}
+    for pos, label in enumerate(labels):
+        if index.setdefault(label, pos) != pos:
+            raise GraphError(f"duplicate vertex label: {label!r}")
+    return index
+
+
+def _lookup(index: Mapping[str, int], label: object, owner: str = "") -> int:
+    """``label``'s position in the label index ``index``.  Anything that is
+    not one of its labels, a non-string or unhashable value included, raises
+    GraphError "unknown vertex", prefixed "<owner> references " when the
+    label is an end of an edge or a multiplicity key."""
+    try:
+        return index[label]
+    except (KeyError, TypeError):
+        prefix = f"{owner} references " if owner else ""
+        raise GraphError(f"{prefix}unknown vertex {label!r}") from None
+
+
 def _pair(item: object) -> tuple[object, object]:
     """The two ends of an edge or of a multiplicity key.  A string is not a
     pair, even of two characters, and neither is anything that does not
@@ -111,11 +136,8 @@ def _edge_ends(index: Mapping[str, int], k: int, a: str, b: str) -> tuple[int, i
     """The indices of edge a-b's ends in a split graph with label index
     ``index`` whose first ``k`` indices form the clique.  Raises GraphError
     for an unknown vertex, a loop or an edge inside the independent set."""
-    if a not in index or b not in index:
-        bad = a if a not in index else b
-        raise GraphError(f"edge references unknown vertex {bad!r}")
+    ends = _lookup(index, a, "edge"), _lookup(index, b, "edge")
     _plain_edge(a, b)  # rejects a loop: labels in the index are well formed
-    ends = index[a], index[b]
     if min(ends) >= k:
         raise GraphError(f"edge {a!r}-{b!r} joins two independent-set vertices")
     return ends
@@ -174,14 +196,10 @@ class SplitGraph:
         independent: Iterable[str],
         edges: Iterable[tuple[str, str]] = (),
     ):
-        clique_t = tuple(_check_label(v) for v in clique)
-        independent_t = tuple(_check_label(v) for v in independent)
+        clique_t = tuple(clique)
+        independent_t = tuple(independent)
         labels = clique_t + independent_t
-        index: dict[str, int] = {}
-        for pos, lab in enumerate(labels):
-            if lab in index:
-                raise GraphError(f"duplicate vertex label: {lab!r}")
-            index[lab] = pos
+        index = _label_index(labels)
         k = len(clique_t)
         adj = [0] * len(labels)
         # K is a clique by definition; materialize those edges up front.
@@ -274,13 +292,10 @@ class SplitGraph:
         raise AttributeError("SplitGraph is immutable")
 
     def index_of(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise GraphError(f"unknown vertex {label!r}") from None
+        return _lookup(self._index, label)
 
     def has_vertex(self, label: str) -> bool:
-        return label in self._index
+        return isinstance(label, str) and label in self._index
 
     def has_edge(self, a: str, b: str) -> bool:
         return bool(self.adj_masks[self.index_of(a)] >> self.index_of(b) & 1)

@@ -86,11 +86,15 @@ def apply_two_switch(S: SplitGraph, move: TwoSwitch) -> SplitGraph:
 
     Degrees are preserved and the result is again split over (K, I):
     only I-K edges change.  Every precondition is checked and a violation
-    names the offending edge condition.  The move flips two bits in each
+    names the offending edge condition; a move that is not four vertex
+    labels raises GraphError too.  The move flips two bits in each
     of four adjacency rows, those of u, v, x and y; every other row, the
     labels and the clique label table are shared with S.
     """
-    u, x, v, y = move
+    try:  # a string is not four labels, even one of four characters
+        u, x, v, y = () if isinstance(move, str) else move
+    except (TypeError, ValueError):
+        raise GraphError(f"a 2-switch is four vertex labels (u, x, v, y), got {move!r}") from None
     iu, ix = S.index_of(u), S.index_of(x)
     iv, iy = S.index_of(v), S.index_of(y)
     k = S.k_size

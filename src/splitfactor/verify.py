@@ -169,7 +169,10 @@ class VerificationReport:
 
 def _is_induced(phi: FactorGraph, vertices: Sequence[str], closed: bool) -> bool:
     """Whether the vertices are distinct, each is adjacent to the next (and
-    the last to the first when closed), and phi has no other edge among them."""
+    the last to the first when closed), and phi has no other edge among them.
+    A string is not a sequence of labels, even of one-character ones."""
+    if isinstance(vertices, str):
+        raise GraphError(f"expected a sequence of vertex labels, got {vertices!r}")
     seq = [phi.index_of(v) for v in vertices]
     n = len(seq)
     if n < (3 if closed else 2) or len(set(seq)) != n:
@@ -667,7 +670,7 @@ def _check_diameter(ctx: _Context) -> None:
         ctx.notes[DIAMETER_BOUND] = "not applicable: disconnected"
     else:
         bound = (phi.size() + 2) // 2
-        if n - 1 > bound and (value := phi.diameter().value) > bound:
+        if n - 1 > bound and (value := phi.diameter()) > bound:
             ctx.failed[DIAMETER_BOUND] = f"diameter {value} exceeds bound {bound}"
 
 

@@ -159,11 +159,10 @@ def test_criterion_6_diameter_bound_and_sharpness(capsys, corpus_sweeps):
         inst = build_extremal(n)
         results = verify_extremal(inst)
         phi = build_by_formula(inst.graph)
-        summary = phi.diameter()
         sharp = (
             all(r.passed for r in results)
             and phi.size() == n
-            and summary.value == (n + 2) // 2 == (phi.size() + 2) // 2
+            and phi.diameter() == (n + 2) // 2 == (phi.size() + 2) // 2
         )
         if not sharp:
             family_ok = False
