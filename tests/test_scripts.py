@@ -69,3 +69,65 @@ def test_code_lines_counts_the_package_by_default():
     )
     assert lines[-1].split()[1] == "total"
     assert int(lines[-1].split()[0]) == sum(int(line.split()[0]) for line in lines[:-1])
+
+
+TOY_MODULE = """\
+\"\"\"A module docstring.\"\"\"
+
+
+def sign(x):
+    \"\"\"A function docstring.\"\"\"
+    if x < 0:
+        return -1
+    return 1
+"""
+
+TOY_CLI = """\
+import sys
+
+
+def main():
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
+"""
+
+TOY_TESTS = """\
+from toy.cli import main
+from toy.mod import sign
+
+
+def test_positive():
+    assert sign(2) == 1 and main() == 0
+"""
+
+
+def test_line_coverage_lists_the_statements_no_test_runs(tmp_path):
+    package = tmp_path / "src" / "toy"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(TOY_MODULE)
+    (package / "cli.py").write_text(TOY_CLI)
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_toy.py").write_text(TOY_TESTS)
+
+    def run():
+        return subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "line_coverage.py"), "--package",
+             str(package), "-q", "-p", "no:cacheprovider", str(tests)],
+            capture_output=True, text=True, cwd=tmp_path,
+        )
+
+    # the negative branch of sign is never run; cli.py's __main__ line is exempt
+    proc = run()
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines()[-3:] == [
+        "cli.py:9", "mod.py:7", "9 statements, 2 unexecuted, 1 of them exempt",
+    ]
+    (tests / "test_toy.py").write_text(TOY_TESTS + "\n\ndef test_negative():\n    assert sign(-2) == -1\n")
+    proc = run()
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["cli.py:9", "9 statements, 1 unexecuted, 1 of them exempt"]
