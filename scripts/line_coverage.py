@@ -27,12 +27,13 @@ from pathlib import Path
 
 import pytest
 
+from code_lines import docstring_lines  # this script's directory is on sys.path
+
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_PACKAGE = REPO / "src" / "splitfactor"
 DEFAULT_PYTEST_ARGS = ["-q", "--continue-on-collection-errors", str(REPO / "tests")]
 # (module file name, stripped statement text) of the statements allowed to stay unexecuted
 EXEMPT = {("cli.py", "sys.exit(main())")}
-DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 class NoDeadline:
@@ -49,18 +50,11 @@ class NoDeadline:
 
 
 def statement_lines(source: str) -> set[int]:
-    """The first lines of the statements of ``source``, docstrings left out."""
+    """The first lines of the statements of ``source``, leaving out the
+    lines that docstrings span."""
     tree = ast.parse(source)
-    docstrings = {
-        id(node.body[0])
-        for node in ast.walk(tree)
-        if isinstance(node, DOCUMENTED) and ast.get_docstring(node) is not None
-    }
-    return {
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.stmt) and id(node) not in docstrings
-    }
+    starts = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.stmt)}
+    return starts - docstring_lines(tree)
 
 
 def traced_run(package: Path, pytest_args: list[str]) -> tuple[int, set[tuple[str, int]]]:
