@@ -162,6 +162,14 @@ class TestConstruction:
         )
         assert explicit == demo_graph
 
+    @pytest.mark.parametrize(
+        "members", ["xy", "x", 5, None], ids=["str", "one-char-str", "int", "none"]
+    )
+    def test_from_neighborhoods_rejects_a_non_collection(self, members):
+        # a string is not a set of labels, even of one-character ones
+        with pytest.raises(GraphError, match="neighborhood of '1'"):
+            SplitGraph.from_neighborhoods(["x", "y"], {"1": members})
+
     def test_equality_is_partition_sensitive(self, demo_graph):
         relabeled = SplitGraph(
             ["y", "x", "z", "t"],
