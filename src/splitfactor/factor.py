@@ -6,19 +6,19 @@ v, which factors as (d_u - c)(d_v - c) where c is the common neighbor
 count: each move pairs a private neighbor of u with a private neighbor
 of v.  Two builders are provided, so each serves as an oracle for the
 other.  One evaluates that product from degrees and common-neighbor
-counts.  The other reads each I-pair's private neighbor labels off its
-masks, as ``enumerate_two_switches`` does, and counts the pair's moves by
-listing them, one (x, y) pair per move; it never multiplies the two
-list sizes, so a fault in the product does not carry over to it.
+counts.  The other counts each I-pair's moves from its private neighbor
+masks, N_u - N_v and N_v - N_u, one private neighbor of u at a time: it
+adds |N_v - N_u| once per x in N_u - N_v.  It never forms d - c, never
+multiplies and reads masks the product never computes; the two share
+only ``int.bit_count``, so a fault in the product does not carry over to
+the count.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterable, Mapping
 
 from .graph import GraphError, SplitGraph, _label_index, _lookup, _pair, bits
-from .switches import _private_label_pairs
 
 
 class FactorGraph:
@@ -196,17 +196,35 @@ def build_by_formula(S: SplitGraph) -> FactorGraph:
 
 
 def build_by_enumeration(S: SplitGraph) -> FactorGraph:
-    """Factor graph by counting each I-pair's 2-switches as they are listed.
+    """Factor graph by counting each I-pair's 2-switches.
 
-    The moves of a pair are the (x, y) pairs of its private neighbor
-    labels, read off the masks as ``enumerate_two_switches`` reads them.
-    They are listed one element per move and counted, without building
-    ``TwoSwitch`` records and without multiplying the two list sizes, so
-    the count stays independent of the product ``build_by_formula`` uses.
+    By the normal form in ``switches``, the moves of I-pair (a, b) are
+    exactly the pairs (x, y) with x in only_a = N_a - N_b and y in
+    only_b = N_b - N_a.  So the count adds |only_b| once per x in only_a,
+    which is the number of moves, and a pair is skipped when either mask
+    is empty.  No label is read, no move is listed and nothing is
+    multiplied: the count never forms the degree differences of
+    ``build_by_formula``'s product, and reads private masks that the
+    formula never computes, so it stays independent of that product.
     """
+    masks = S.adj_masks[S.k_size :]
+    n = len(masks)
     mult: dict[tuple[int, int], int] = {}
-    for a, b, xs, ys in _private_label_pairs(S):
-        mult[a, b] = len(list(product(xs, ys)))
+    for a in range(n):
+        ma = masks[a]
+        for b in range(a + 1, n):
+            mb = masks[b]
+            only_a = ma & ~mb
+            if not only_a:
+                continue
+            only_b = mb & ~ma
+            if not only_b:
+                continue
+            ys = only_b.bit_count()
+            count = 0
+            for _ in bits(only_a):
+                count += ys
+            mult[a, b] = count
     return _assemble(object.__new__(FactorGraph), S.independent, mult)
 
 

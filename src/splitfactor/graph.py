@@ -123,6 +123,20 @@ def _pair(item: object) -> tuple[object, object]:
     raise GraphError(f"expected a pair of vertex labels, got {item!r}")
 
 
+def _members(vertex: object, members: object) -> Iterator[object]:
+    """An iterator over the neighborhood ``members`` of ``vertex``.  A
+    string is not a collection of labels, and neither is anything that
+    cannot be iterated."""
+    if not isinstance(members, str):
+        try:
+            return iter(members)
+        except TypeError:
+            pass
+    raise GraphError(
+        f"neighborhood of {vertex!r} must be a collection of vertex labels, got {members!r}"
+    )
+
+
 def _plain_edge(a: str, b: str) -> tuple[str, str]:
     """Edge a-b of a simple graph: both labels well formed, and not a loop."""
     _check_label(a)
@@ -225,8 +239,9 @@ class SplitGraph:
     def from_neighborhoods(
         cls, clique: Iterable[str], neighborhoods: Mapping[str, Iterable[str]]
     ) -> "SplitGraph":
-        """Build from a map: independent vertex -> its clique neighbors."""
-        edges = [(v, w) for v, members in neighborhoods.items() for w in members]
+        """Build from a map: independent vertex -> its clique neighbors.  A
+        string is not a collection of labels, even of one-character ones."""
+        edges = [(v, w) for v, members in neighborhoods.items() for w in _members(v, members)]
         return cls(clique, neighborhoods.keys(), edges)
 
     def with_masks(self, masks: Sequence[int]) -> "SplitGraph":

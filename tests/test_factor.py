@@ -1,8 +1,11 @@
 """Factor multigraph: the two builders, metrics, output formats."""
 
+import ast
 import copy
+import inspect
 import pickle
 import random
+import textwrap
 from collections import Counter
 from itertools import combinations
 
@@ -78,6 +81,10 @@ differential = pytest.mark.parametrize("spec, stride", [
     pytest.param(CorpusSpec("random", 5, 16, count=5, seed=7), 1, id="random-5x16"),
     # clique masks wider than one byte
     pytest.param(CorpusSpec("random", 16, 6, count=5, seed=11), 1, id="random-16x6"),
+    # three mask bytes, so the clique labeler runs its chunk loop
+    pytest.param(CorpusSpec("random", 24, 24, count=3, seed=7), 1, id="random-24x24"),
+    # many I-pairs, each with few private neighbours
+    pytest.param(CorpusSpec("random", 12, 40, count=3, seed=7), 1, id="random-12x40"),
 ])
 
 
@@ -117,23 +124,35 @@ def test_builders_match_the_public_constructor(spec, stride):
 
 
 @differential
-def test_enumeration_builder_lists_one_element_per_move(spec, stride, monkeypatch):
-    # the count must come from listing the moves, never from the sizes of the
-    # private label lists, or it would repeat the formula builder's product
-    listed = []
-    real = splitfactor.factor.product
+def test_enumeration_builder_reads_each_moving_pairs_private_mask_once(spec, stride, monkeypatch):
+    # the count walks N_a - N_b one private neighbour at a time: bits is called
+    # once per I-pair with moves, in (a, b) order, on the mask of the x's of its moves
+    read = []
+    real = splitfactor.factor.bits
 
-    def listing(*iterables):
-        for element in real(*iterables):
-            listed.append(element)
-            yield element
+    def spy(mask):
+        read.append(mask)
+        return real(mask)
 
-    monkeypatch.setattr(splitfactor.factor, "product", listing)
+    monkeypatch.setattr(splitfactor.factor, "bits", spy)
     for S in differential_graphs(spec, stride):
-        listed.clear()
+        private = {}
+        for m in enumerate_two_switches(S):
+            private[m.u, m.v] = private.get((m.u, m.v), 0) | 1 << S.index_of(m.x)
+        read.clear()
         phi = build_by_enumeration(S)
-        assert listed == [(m.x, m.y) for m in enumerate_two_switches(S)]
-        assert phi.size() == len(listed)
+        assert read == list(private.values())
+        assert phi.size() == len(enumerate_two_switches(S))
+
+
+def test_enumeration_builder_never_multiplies():
+    # the count adds, so it cannot repeat the formula builder's product
+    tree = ast.parse(textwrap.dedent(inspect.getsource(build_by_enumeration)))
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Mult)]
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "product" not in names
+
 
 class TestFactorGraphType:
     def test_zero_multiplicities_dropped(self):

@@ -131,3 +131,85 @@ def test_line_coverage_lists_the_statements_no_test_runs(tmp_path):
     proc = run()
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-2:] == ["cli.py:9", "9 statements, 1 unexecuted, 1 of them exempt"]
+
+
+TOY_CHECKS = """\
+class Context:
+    def __init__(self):
+        self.failed = {}
+
+    def fail(self, name):
+        self.failed.setdefault(name, "failed")
+
+
+def check(ctx, x):
+    if x < 0:
+        ctx.fail("negative")
+    if x == 0:
+        ctx.failed["zero"] = (
+            "x is zero"
+        )
+    return ctx.failed
+"""
+
+TOY_CHECK_TESTS = """\
+from toy.checks import Context, check
+
+
+def test_negative():
+    assert check(Context(), -1) == {"negative": "failed"}
+"""
+
+
+def test_mutants_lists_the_failure_statements_no_test_catches(tmp_path):
+    package = tmp_path / "src" / "toy"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "checks.py").write_text(TOY_CHECKS)
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_checks.py").write_text(TOY_CHECK_TESTS)
+
+    def run():
+        return subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "mutants.py"), "--package", str(package),
+             "--tests", str(tests), "checks.py"],
+            capture_output=True, text=True, cwd=tmp_path,
+        )
+
+    # the zero branch is never tested, so losing its record goes unseen
+    proc = run()
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "checks.py:6 killed by tests/test_checks.py::test_negative",
+        "checks.py:11 killed by tests/test_checks.py::test_negative",
+        "checks.py:13 SURVIVED",
+        "3 mutants, 1 survived",
+    ]
+    assert (package / "checks.py").read_text() == TOY_CHECKS
+    (tests / "test_checks.py").write_text(
+        TOY_CHECK_TESTS + "\n\ndef test_zero():\n    assert check(Context(), 0) == {\"zero\": \"x is zero\"}\n"
+    )
+    proc = run()
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-2:] == [
+        "checks.py:13 killed by tests/test_checks.py::test_zero",
+        "3 mutants, 0 survived",
+    ]
+
+
+def test_mutants_stops_when_the_tests_fail_unchanged(tmp_path):
+    package = tmp_path / "src" / "toy"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "checks.py").write_text(TOY_CHECKS)
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_checks.py").write_text(TOY_CHECK_TESTS.replace("-1", "1"))
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "mutants.py"), "--package", str(package),
+         "--tests", str(tests), "checks.py"],
+        capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout.startswith("test_checks.py does not pass on the unchanged package")

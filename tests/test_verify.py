@@ -66,6 +66,13 @@ def one_clique_vertex(labels):
     return SplitGraph.from_neighborhoods(["x"], {v: {"x"} for v in labels})
 
 
+def one_letter_graph(neighborhoods):
+    """A split graph from neighborhoods written as strings of one-letter
+    clique labels, such as {"a": "xy"}; the clique is their union."""
+    spelled = {v: set(members) for v, members in neighborhoods.items()}
+    return SplitGraph.from_neighborhoods(sorted(set().union(*spelled.values())), spelled)
+
+
 def ring(labels, m=1):
     pairs = {(labels[t], labels[(t + 1) % len(labels)]): m for t in range(len(labels))}
     return FactorGraph(labels, pairs)
@@ -527,9 +534,7 @@ class TestFabricatedFailures:
     @pytest.mark.parametrize("law, neighborhoods, mults, witness", PINNED_WITNESSES)
     def test_pinned_witness(self, law, neighborhoods, mults, witness):
         labels = tuple(neighborhoods)
-        S = SplitGraph.from_neighborhoods(
-            sorted(set("".join(neighborhoods.values()))), neighborhoods
-        )
+        S = one_letter_graph(neighborhoods)
         fake = chain(labels, mults)
         results = [*check_paths(S, fake, [labels]), *check_paths(S, fake)]
         assert CheckResult(law, False, witness) in results
@@ -543,9 +548,7 @@ class TestFabricatedFailures:
          "path a b; union excess 2 does not divide first multiplicity 1"),
     ], ids=["p3-before-p2", "p2-before-p3"])
     def test_first_failure_in_enumeration_order(self, monkeypatch, neighborhoods, mults, witness):
-        S = SplitGraph.from_neighborhoods(
-            sorted(set("".join(neighborhoods.values()))), neighborhoods
-        )
+        S = one_letter_graph(neighborhoods)
         fake = chain(("a", "b", "c"), mults)
         expected = CheckResult("first-edge-divisible-by-union-excess", False, witness)
         assert expected in check_paths(S, fake)
@@ -609,22 +612,30 @@ class TestVerifyAll:
         diameter = report.checks[-1]
         assert diameter.note == "not applicable: disconnected"
 
-    def test_moves_enumerated_once(self, demo_graph, monkeypatch):
+    def test_moves_counted_once_and_never_listed(self, demo_graph, monkeypatch):
         import splitfactor.factor
         import splitfactor.switches
+        import splitfactor.verify
 
-        # every 2-switch listing, records or counts, goes through this core
+        # the counting builder is the one 2-switch oracle; no move record or
+        # private label tuple is built along the way
         calls = []
-        real = splitfactor.switches._private_label_pairs
+        real = splitfactor.verify.build_by_enumeration
 
         def counted(S):
             calls.append(S)
             return real(S)
 
-        for module in (splitfactor.factor, splitfactor.switches):
-            monkeypatch.setattr(module, "_private_label_pairs", counted)
+        def forbidden(S):
+            raise AssertionError("verify_all listed the moves")
+
+        monkeypatch.setattr(splitfactor.verify, "build_by_enumeration", counted)
+        # also where a module would hold an imported copy of either lister
+        for module in (splitfactor.factor, splitfactor.switches, splitfactor.verify):
+            for name in ("enumerate_two_switches", "_private_label_pairs"):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
         assert verify_all(demo_graph).ok
-        assert len(calls) == 1
+        assert calls == [demo_graph]
 
     def test_max_len_cap_still_passes(self, demo_graph):
         report = verify_all(demo_graph, max_len=3)
