@@ -204,6 +204,12 @@ class TestFactorGraphType:
         with pytest.raises(GraphError, match="duplicate"):
             FactorGraph(("a", "a"), {})
 
+    @pytest.mark.parametrize("mult", [[(("a", "b"), 1)], None], ids=["pairs", "none"])
+    def test_non_mapping_multiplicities_rejected(self, mult):
+        with pytest.raises(GraphError) as exc:
+            FactorGraph(("a", "b"), mult)
+        assert str(exc.value) == f"multiplicities must be a mapping, got {mult!r}"
+
     @pytest.mark.parametrize("vertices, mult, message", [
         ([1, 2], {(1, 2): 1}, "vertex label must be a non-empty string, got 1"),
         ([["a"]], {}, "vertex label must be a non-empty string, got ['a']"),

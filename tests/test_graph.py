@@ -170,6 +170,12 @@ class TestConstruction:
         with pytest.raises(GraphError, match="neighborhood of '1'"):
             SplitGraph.from_neighborhoods(["x", "y"], {"1": members})
 
+    @pytest.mark.parametrize("neighborhoods", [[("1", "x")], None], ids=["pairs", "none"])
+    def test_from_neighborhoods_rejects_a_non_mapping(self, neighborhoods):
+        with pytest.raises(GraphError) as exc:
+            SplitGraph.from_neighborhoods(["x"], neighborhoods)
+        assert str(exc.value) == f"neighborhoods must be a mapping, got {neighborhoods!r}"
+
     def test_equality_is_partition_sensitive(self, demo_graph):
         relabeled = SplitGraph(
             ["y", "x", "z", "t"],
