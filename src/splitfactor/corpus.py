@@ -14,6 +14,7 @@ shard by range) and streams reproduce bit-identically across platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .graph import GraphError, SplitGraph
@@ -68,18 +69,10 @@ class CorpusSpec:
                 raise GraphError("random corpus draws at most 63 clique bits per vertex")
 
 
-_empty_cache: dict[tuple[int, int], SplitGraph] = {}
-
-
+@lru_cache(maxsize=None)
 def _empty_graph(k: int, i: int) -> SplitGraph:
     """The instance at sizes (k, i) with no I-K edges, built once per size."""
-    key = (k, i)
-    if key not in _empty_cache:
-        _empty_cache[key] = SplitGraph(
-            tuple(f"x{j}" for j in range(1, k + 1)),
-            tuple(f"y{j}" for j in range(1, i + 1)),
-        )
-    return _empty_cache[key]
+    return SplitGraph([f"x{j}" for j in range(1, k + 1)], [f"y{j}" for j in range(1, i + 1)])
 
 
 def corpus_size(spec: CorpusSpec) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .graph import GraphError, SplitGraph, _label_index, _lookup, _pair, bits
+from .graph import GraphError, SplitGraph, _label_index, _lookup, _mapping, _pair, bits
 
 
 class FactorGraph:
@@ -43,7 +43,7 @@ class FactorGraph:
         index = _label_index(verts)
         given: dict[tuple[int, int], int] = {}  # every entry, zeros included
         mult: dict[tuple[int, int], int] = {}
-        for key, m in multiplicities.items():
+        for key, m in _mapping("multiplicities", multiplicities).items():
             a_lab, b_lab = _pair(key)
             a = _lookup(index, a_lab, "multiplicity")
             b = _lookup(index, b_lab, "multiplicity")

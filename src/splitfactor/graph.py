@@ -30,7 +30,7 @@ one ``u v`` per line, with ``V:`` lines declaring vertices.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 
 class GraphError(ValueError):
@@ -123,6 +123,13 @@ def _pair(item: object) -> tuple[object, object]:
     raise GraphError(f"expected a pair of vertex labels, got {item!r}")
 
 
+def _mapping(name: str, value: object) -> Mapping:
+    """``value``, the argument ``name``, when it is a mapping."""
+    if not isinstance(value, Mapping):
+        raise GraphError(f"{name} must be a mapping, got {value!r}")
+    return value
+
+
 def _members(vertex: object, members: object) -> Iterator[object]:
     """An iterator over the neighborhood ``members`` of ``vertex``.  A
     string is not a collection of labels, and neither is anything that
@@ -157,34 +164,6 @@ def _edge_ends(index: Mapping[str, int], k: int, a: str, b: str) -> tuple[int, i
     return ends
 
 
-def _mask_labeler(clique: Sequence[str]) -> Callable[[int], tuple[str, ...]]:
-    """The function from a mask over ``clique`` to the labels of its set
-    bits, in ascending index order.  It reads them from a table holding,
-    for each 8-bit chunk of the mask, the label tuple of every chunk value,
-    and concatenates the chunks' tuples when |K| > 8: with two lookups and
-    no loop up to |K| = 16, chunk by chunk beyond."""
-    # an empty clique still gets one chunk, which maps mask 0 to no labels
-    low, *high = [_subset_table(clique[base : base + 8]) for base in range(0, len(clique) or 1, 8)]
-    if not high:
-        return low.__getitem__
-    if len(high) == 1:
-        (top,) = high
-
-        def two_chunks(mask: int) -> tuple[str, ...]:
-            return low[mask & 255] + top[mask >> 8]
-
-        return two_chunks
-
-    def labels_of(mask: int) -> tuple[str, ...]:
-        out = low[mask & 255]
-        for chunk in high:
-            mask >>= 8
-            out += chunk[mask & 255]
-        return out
-
-    return labels_of
-
-
 class SplitGraph:
     """Immutable split graph ``(S, K, I)``.
 
@@ -194,9 +173,7 @@ class SplitGraph:
     is rejected.  Loops are rejected.
     """
 
-    __slots__ = (
-        "clique", "independent", "labels", "adj_masks", "k_size", "_labeler", "_index"
-    )
+    __slots__ = ("clique", "independent", "labels", "adj_masks", "k_size", "_index")
 
     clique: tuple[str, ...]
     independent: tuple[str, ...]
@@ -229,8 +206,6 @@ class SplitGraph:
         self.labels = labels
         self.adj_masks = tuple(adj)
         self.k_size = k
-        # filled on first use by _clique_labeler; shared by derived graphs
-        self._labeler = []
         self._index = index
 
     # -- construction helpers -------------------------------------------------
@@ -239,19 +214,21 @@ class SplitGraph:
     def from_neighborhoods(
         cls, clique: Iterable[str], neighborhoods: Mapping[str, Iterable[str]]
     ) -> "SplitGraph":
-        """Build from a map: independent vertex -> its clique neighbors.  A
-        string is not a collection of labels, even of one-character ones."""
-        edges = [(v, w) for v, members in neighborhoods.items() for w in _members(v, members)]
+        """Build from a map: independent vertex -> its clique neighbors.
+        Anything but a mapping raises GraphError, and so does a
+        neighborhood that is a string, even of one-character labels."""
+        items = _mapping("neighborhoods", neighborhoods).items()
+        edges = [(v, w) for v, members in items for w in _members(v, members)]
         return cls(clique, neighborhoods.keys(), edges)
 
     def with_masks(self, masks: Sequence[int]) -> "SplitGraph":
         """The graph on this partition where independent vertex j has clique
         neighborhood ``masks[j]``, a bitmask over clique indices.
 
-        Labels, the label index and the clique labeler are shared with
-        this graph, which has already validated the labels; only the masks
-        are checked: each must be an ``int`` (not a ``bool``) with no bit at
-        or above |K|.  The clique rows are rebuilt from the masks.
+        Labels and the label index are shared with this graph, which has
+        already validated the labels; only the masks are checked: each must
+        be an ``int`` (not a ``bool``) with no bit at or above |K|.  The
+        clique rows are rebuilt from the masks.
         """
         k = self.k_size
         i = len(self.independent)
@@ -272,8 +249,8 @@ class SplitGraph:
 
     def _derive(self, adj_masks: tuple[int, ...]) -> "SplitGraph":
         """The graph on this partition with adjacency rows ``adj_masks``,
-        sharing its labels, label index and clique labeler.  Nothing is
-        checked: the rows must already form a split graph over (K, I)."""
+        sharing its labels and label index.  Nothing is checked: the rows
+        must already form a split graph over (K, I)."""
         g = object.__new__(SplitGraph)
         init = object.__setattr__  # skips the immutability guard's lookups
         init(g, "clique", self.clique)
@@ -281,19 +258,8 @@ class SplitGraph:
         init(g, "labels", self.labels)
         init(g, "adj_masks", adj_masks)
         init(g, "k_size", self.k_size)
-        init(g, "_labeler", self._labeler)
         init(g, "_index", self._index)
         return g
-
-    def _clique_labeler(self) -> Callable[[int], tuple[str, ...]]:
-        """The function from a clique mask to the labels of its set bits, in
-        ascending index order, with its table (see ``_mask_labeler``).  Built
-        on first use, once for this partition and every graph derived from
-        it."""
-        cell = self._labeler
-        if not cell:
-            cell.append(_mask_labeler(self.clique))
-        return cell[0]
 
     # -- queries ---------------------------------------------------------------
 

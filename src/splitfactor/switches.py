@@ -12,10 +12,11 @@ first.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, product, repeat
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
-from .graph import GraphError, SplitGraph
+from .graph import GraphError, SplitGraph, _subset_table
 
 
 class TwoSwitch(NamedTuple):
@@ -35,6 +36,37 @@ class TwoSwitch(NamedTuple):
         return TwoSwitch(self.u, self.y, self.v, self.x)
 
 
+# a clique's table is built once for all graphs on its labels; the bound keeps
+# a long session from holding the table of every partition it has seen
+@lru_cache(maxsize=16)
+def _mask_labeler(clique: tuple[str, ...]) -> Callable[[int], tuple[str, ...]]:
+    """The function from a mask over ``clique`` to the labels of its set
+    bits, in ascending index order.  It reads them from a table holding,
+    for each 8-bit chunk of the mask, the label tuple of every chunk value,
+    and concatenates the chunks' tuples when |K| > 8: with two lookups and
+    no loop up to |K| = 16, chunk by chunk beyond."""
+    # an empty clique still gets one chunk, which maps mask 0 to no labels
+    low, *high = [_subset_table(clique[base : base + 8]) for base in range(0, len(clique) or 1, 8)]
+    if not high:
+        return low.__getitem__
+    if len(high) == 1:
+        (top,) = high
+
+        def two_chunks(mask: int) -> tuple[str, ...]:
+            return low[mask & 255] + top[mask >> 8]
+
+        return two_chunks
+
+    def labels_of(mask: int) -> tuple[str, ...]:
+        out = low[mask & 255]
+        for chunk in high:
+            mask >>= 8
+            out += chunk[mask & 255]
+        return out
+
+    return labels_of
+
+
 def _private_label_pairs(
     S: SplitGraph,
 ) -> Iterator[tuple[int, int, tuple[str, ...], tuple[str, ...]]]:
@@ -44,12 +76,12 @@ def _private_label_pairs(
     xs, ys are tuples of the labels of the clique vertices adjacent to a
     but not b, and to b but not a, in ascending index order; a pair is
     skipped when either would be empty.  The pair's moves are exactly the
-    pairs (x, y) with x in xs and y in ys.  The labels are read from S's
-    per-partition table of clique labels, one lookup per mask byte.
+    pairs (x, y) with x in xs and y in ys.  The labels are read from the
+    table of S's clique labels, one lookup per mask byte.
     """
     masks = S.adj_masks[S.k_size :]
     n = len(masks)
-    labels_of = S._clique_labeler()
+    labels_of = _mask_labeler(S.clique)
     for a in range(n):
         ma = masks[a]
         for b in range(a + 1, n):
@@ -88,8 +120,8 @@ def apply_two_switch(S: SplitGraph, move: TwoSwitch) -> SplitGraph:
     only I-K edges change.  Every precondition is checked and a violation
     names the offending edge condition; a move that is not four vertex
     labels raises GraphError too.  The move flips two bits in each
-    of four adjacency rows, those of u, v, x and y; every other row, the
-    labels and the clique label table are shared with S.
+    of four adjacency rows, those of u, v, x and y; every other row and
+    the labels are shared with S.
     """
     try:  # a string is not four labels, even one of four characters
         u, x, v, y = () if isinstance(move, str) else move

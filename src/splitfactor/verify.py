@@ -319,8 +319,7 @@ class _Context:
     phi's vertices: S's own independent-set rows when phi lists those
     vertices in S's order, as the formula graph does, and rows looked up
     by label otherwise.  ``mult`` is phi's flat multiplicity table (entry
-    ``a * n + b``), None until :meth:`table` builds it: the cycle and
-    diameter laws never read it.  ``failed`` maps a law name to the witness
+    ``a * n + b``).  ``failed`` maps a law name to the witness
     of its first failure and ``notes`` a law name to its note; a law that
     never failed is absent from ``failed``, so witnesses are formatted only
     on failure.  ``verify_extremal`` records its five checks on one too.
@@ -341,7 +340,7 @@ class _Context:
         self.labels = phi.vertices
         self.n = len(self.labels)
         self.deg = [m.bit_count() for m in self.nmask]
-        self.mult: list[int] | None = None
+        self.mult = phi.multiplicity_table()
         self.nbr = phi.neighbor_masks()
         self.k_size = S.k_size
         union = reduce(or_, self.nmask, 0)
@@ -350,12 +349,6 @@ class _Context:
         self.clique_law = union == (1 << S.k_size) - 1 and phi.simple_edge_count() == self.n - 1
         self.failed: dict[str, str] = {}
         self.notes: dict[str, str] = {}
-
-    def table(self) -> list[int]:
-        """phi's flat multiplicity table, built on the first call."""
-        if self.mult is None:
-            self.mult = self.phi.multiplicity_table()
-        return self.mult
 
     def fail(self, name: str, seq: Sequence[int], detail: str) -> None:
         """Record a path law's failure unless an earlier one is kept."""
@@ -397,7 +390,7 @@ def _check_pairs(ctx: _Context) -> None:
     Only when the pass fails does the ordered scan run, to name each law's
     first witness.
     """
-    nmask, n, mult = ctx.nmask, ctx.n, ctx.table()
+    nmask, n, mult = ctx.nmask, ctx.n, ctx.mult
     equal_pairs = 0
     for a in range(n - 1):
         Na, row = nmask[a], a * n
@@ -424,7 +417,7 @@ def _find_pair_witnesses(ctx: _Context) -> None:
     the number of equal-neighborhood pairs, when there are any, is noted on
     nesting-iff-zero."""
     labels, deg, nmask, nbr, failed = ctx.labels, ctx.deg, ctx.nmask, ctx.nbr, ctx.failed
-    n, mult = ctx.n, ctx.table()
+    n, mult = ctx.n, ctx.mult
     equal_pairs = 0
     for a in range(n):
         da, Na = deg[a], nmask[a]
@@ -626,7 +619,6 @@ def _check_paths(
 ) -> None:
     """Per-path laws over the caller's paths, each validated as induced, or
     over every induced path of phi on min_len to ``max_len`` vertices."""
-    ctx.table()  # the per-path laws read ctx.mult
     if paths is None:
         seqs = _induced_path_indices(ctx.nbr, _path_cap(ctx.n, max_len), min_len)
     else:
@@ -720,6 +712,11 @@ def verify_all(
     identities, the pairwise laws, every path law over the induced paths
     (capped at ``max_len`` vertices when given), and the two whole-graph
     laws, all on one check context.
+
+    A cap hides laws: no law is checked on a path longer than ``max_len``,
+    yet each still passes.  When the builder and pair laws pass, the
+    certificate below covers only paths of 2 and 3 vertices, so a cap of 3
+    or less checks no path at all.
 
     When none of the builder and pair laws has failed, the per-path laws
     are checked on induced paths of 4 or more vertices only: on 2 and 3

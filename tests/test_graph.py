@@ -15,8 +15,10 @@ from splitfactor import (
     GraphError,
     ParseError,
     SplitGraph,
+    enumerate_two_switches,
     format_split_text,
     generate,
+    instance,
     parse_edge_list,
     parse_split_text,
     recognize_split,
@@ -141,15 +143,33 @@ class TestConstruction:
         assert demo_graph.index_of("1") == 4
 
     @pytest.mark.parametrize(
-        "clone",
-        [lambda S: pickle.loads(pickle.dumps(S)), copy.copy, copy.deepcopy],
-        ids=["pickle", "copy", "deepcopy"],
+        "k, clone",
+        [
+            pytest.param(k, clone, id=name if k is None else f"k{k}-{name}")
+            for k in (None, 8, 12, 20)
+            for name, clone in [
+                ("pickle", lambda S: pickle.loads(pickle.dumps(S))),
+                ("copy", copy.copy),
+                ("deepcopy", copy.deepcopy),
+            ]
+        ],
     )
-    def test_round_trips_past_the_guard(self, demo_graph, clone):
-        # each restores slots in __slots__ order, so _index must stay last
-        twin = clone(demo_graph)
-        assert twin == demo_graph and twin is not demo_graph
-        assert twin.index_of("4") == demo_graph.index_of("4")
+    def test_round_trips_past_the_guard(self, demo_graph, k, clone):
+        # each restores slots in __slots__ order, so _index must stay last;
+        # beside the demo graph, a corpus graph with |K| = k whose sibling has
+        # listed its moves, which leaves nothing behind in the graph
+        if k is None:
+            graph = demo_graph
+        else:
+            spec = CorpusSpec("random", k, 8, count=2, seed=1)
+            enumerate_two_switches(instance(spec, 1))
+            graph = instance(spec, 0)
+        # the same graph built afresh, on which no move was ever listed
+        unlisted = SplitGraph(graph.clique, graph.independent, graph.independent_edges())
+        twin = clone(graph)
+        assert twin == graph and twin is not graph
+        assert twin.index_of(graph.independent[3]) == graph.index_of(graph.independent[3])
+        assert pickle.dumps(graph) == pickle.dumps(twin) == pickle.dumps(unlisted)
         with pytest.raises(AttributeError):
             twin.k_size = 0
 

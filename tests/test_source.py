@@ -30,6 +30,27 @@ def foreign_imports(tree):
     return found
 
 
+def is_empty_container(value):
+    """Whether an expression is ``{}``, ``[]``, ``set()``, ``dict()`` or ``list()``."""
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    if isinstance(value, ast.List):
+        return not value.elts
+    return (
+        isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+        and value.func.id in ("set", "dict", "list") and not (value.args or value.keywords)
+    )
+
+
+def empty_containers(tree):
+    """Line numbers of module-level bindings of a name, plain or annotated,
+    to an empty container."""
+    return [
+        node.lineno for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and is_empty_container(node.value)
+    ]
+
+
 def test_library_has_no_assert():
     # runtime invariants are real checks; `python -O` strips assert statements
     found = [
@@ -59,3 +80,16 @@ def test_all_lists_each_public_name_once():
     namespace = {}
     exec("from splitfactor import *", namespace)
     assert set(names) <= namespace.keys()
+
+
+def test_library_has_no_hand_filled_module_container():
+    # a memo is a functools.lru_cache on a pure function, never a module-level
+    # container that code fills by hand
+    sample = (
+        "a = {}\nb: dict[int, int] = {}\nc = []\nd = set()\ne = dict()\nf: list = list()\n"
+        "g = {1: 2}\nh = [0]\ni = set('ab')\nj = dict(x=1)\nk: int\n"
+        "def f():\n    cache = {}\n"
+    )
+    assert empty_containers(ast.parse(sample)) == [1, 2, 3, 4, 5, 6]
+    found = [f"{name}:{line}" for name, tree in library_trees() for line in empty_containers(tree)]
+    assert found == []

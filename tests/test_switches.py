@@ -19,8 +19,7 @@ from splitfactor import (
     parse_split_text,
     splitmix64,
 )
-from splitfactor import corpus as corpus_module
-from splitfactor import graph as graph_module
+from splitfactor import switches as switches_module
 from splitfactor.switches import _private_label_pairs
 
 from bruteforce import (
@@ -285,20 +284,11 @@ def test_private_labels_match_low_bit_oracle(k):
 
 
 @pytest.fixture
-def table_builds(monkeypatch):
-    """Partitions whose clique label table gets built, one entry per build.
-    Corpus graphs start from a fresh per-size cache, so no earlier test has
-    built their table."""
-    built = []
-    real = graph_module._mask_labeler
-
-    def counted(clique):
-        built.append(tuple(clique))
-        return real(clique)
-
-    monkeypatch.setattr(graph_module, "_mask_labeler", counted)
-    monkeypatch.setattr(corpus_module, "_empty_cache", {})
-    return built
+def table_builds():
+    """The number of clique label tables built since the test began: the
+    label cache starts empty, so no earlier test has built their table."""
+    switches_module._mask_labeler.cache_clear()
+    return lambda: switches_module._mask_labeler.cache_info().misses
 
 
 def test_label_table_built_once_per_walk(table_builds):
@@ -306,7 +296,7 @@ def test_label_table_built_once_per_walk(table_builds):
     for t in range(100):
         moves = enumerate_two_switches(S)
         S = apply_two_switch(S, moves[splitmix64(7, t) % len(moves)])
-    assert table_builds == [S.clique]
+    assert table_builds() == 1
 
 
 def test_label_table_built_once_per_corpus_partition(table_builds):
@@ -315,4 +305,4 @@ def test_label_table_built_once_per_corpus_partition(table_builds):
         for _, S in generate(spec):
             enumerate_two_switches(S)
         enumerate_two_switches(instance(spec, 0).with_masks([0] * spec.i_max))
-    assert table_builds == [instance(spec, 0).clique for spec in specs]
+    assert table_builds() == len(specs)
