@@ -25,9 +25,6 @@ from .switches import enumerate_two_switches
 from .verify import sweep, verify_all
 
 THREADS_ENV = "SPLITFACTOR_THREADS"
-MAX_LEN_HELP = ("check the per-path laws on induced paths of at most N vertices only; on longer"
-                " paths they go unchecked yet still print PASS, and on a graph whose builder and"
-                " pair laws pass, N <= 3 checks no path at all")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,7 +45,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run every structural check on one graph")
     p.add_argument("file")
-    p.add_argument("--max-len", type=int, default=None, metavar="N", help=MAX_LEN_HELP)
 
     p = sub.add_parser("moves", help="list all 2-switches, one 'u x v y' per line")
     p.add_argument("file")
@@ -66,7 +62,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     p.add_argument("--count", type=int, default=1000, help="instances in random mode")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-len", type=int, default=None, metavar="N", help=MAX_LEN_HELP)
     p.add_argument("--workers", type=int, default=None,
                    help=f"worker processes (default: usable cores); capped by ${THREADS_ENV}")
     return parser
@@ -118,7 +113,7 @@ def _cmd_phi(args) -> int:
 
 def _cmd_verify(args) -> int:
     S = _load(args.file)
-    report = verify_all(S, instance=args.file, max_len=args.max_len)
+    report = verify_all(S, instance=args.file)
     print(f"instance: {report.instance}")
     for check in report.checks:
         print(check.line())
@@ -162,7 +157,7 @@ def _cmd_extremal(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = CorpusSpec(args.mode, args.kmax, args.imax, count=args.count, seed=args.seed)
     workers = _resolve_workers(args.workers)
-    summary = sweep(spec, workers=workers, max_len=args.max_len)
+    summary = sweep(spec, workers=workers)
     print(f"{summary.instances} instances, {summary.failures} failures")
     shown = 0
     for instance_id, failures in summary.failed:

@@ -236,26 +236,16 @@ def format_multiplicity_listing(phi: FactorGraph) -> str:
     return "".join(f"{u} {v} {m}\n" for u, v, m in phi.edges())
 
 
-# DOT keywords, case-insensitive, which cannot name a graph unquoted
-_DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
-
-
 def _dot_quoted(text: str) -> str:
     """A DOT quoted string, with backslash and double quote escaped."""
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def to_dot(phi: FactorGraph, name: str = "phi") -> str:
-    """DOT rendering; each edge carries label and penwidth equal to its multiplicity.
-
-    Labels are DOT quoted strings.  ``name`` is written bare when it is an
-    ASCII identifier other than a DOT keyword, and quoted the same way
-    otherwise.
-    """
+def to_dot(phi: FactorGraph) -> str:
+    """DOT rendering as ``graph phi``; each edge carries label and penwidth
+    equal to its multiplicity, and labels are DOT quoted strings."""
     quoted = {v: _dot_quoted(v) for v in phi.vertices}
-    if not name.isascii() or not name.isidentifier() or name.lower() in _DOT_KEYWORDS:
-        name = _dot_quoted(name)
-    lines = [f"graph {name} {{"]
+    lines = ["graph phi {"]
     for v in phi.vertices:
         lines.append(f"  {quoted[v]};")
     for u, v, m in phi.edges():

@@ -130,18 +130,17 @@ def _mapping(name: str, value: object) -> Mapping:
     return value
 
 
-def _members(vertex: object, members: object) -> Iterator[object]:
-    """An iterator over the neighborhood ``members`` of ``vertex``.  A
-    string is not a collection of labels, and neither is anything that
-    cannot be iterated."""
-    if not isinstance(members, str):
+def _members(value: object, expected: str) -> Iterator[object]:
+    """An iterator over ``value``, a collection of labels, edges or paths.
+    A string is not such a collection, even of one-character labels, and
+    neither is anything that cannot be iterated: either raises GraphError
+    "<expected>, got <value>"."""
+    if not isinstance(value, str):
         try:
-            return iter(members)
+            return iter(value)
         except TypeError:
             pass
-    raise GraphError(
-        f"neighborhood of {vertex!r} must be a collection of vertex labels, got {members!r}"
-    )
+    raise GraphError(f"{expected}, got {value!r}")
 
 
 def _plain_edge(a: str, b: str) -> tuple[str, str]:
@@ -197,7 +196,7 @@ class SplitGraph:
         k_mask = (1 << k) - 1
         for a in range(k):
             adj[a] = k_mask ^ (1 << a)
-        for edge in edges:
+        for edge in _members(edges, "expected a collection of edges"):
             a, b = _edge_ends(index, k, *_pair(edge))
             adj[a] |= 1 << b
             adj[b] |= 1 << a
@@ -217,8 +216,11 @@ class SplitGraph:
         """Build from a map: independent vertex -> its clique neighbors.
         Anything but a mapping raises GraphError, and so does a
         neighborhood that is a string, even of one-character labels."""
-        items = _mapping("neighborhoods", neighborhoods).items()
-        edges = [(v, w) for v, members in items for w in _members(v, members)]
+        edges = [
+            (v, w)
+            for v, members in _mapping("neighborhoods", neighborhoods).items()
+            for w in _members(members, f"neighborhood of {v!r} must be a collection of vertex labels")
+        ]
         return cls(clique, neighborhoods.keys(), edges)
 
     def with_masks(self, masks: Sequence[int]) -> "SplitGraph":
@@ -232,8 +234,12 @@ class SplitGraph:
         """
         k = self.k_size
         i = len(self.independent)
-        if len(masks) != i:
-            raise GraphError(f"expected {i} neighborhood masks, got {len(masks)}")
+        try:
+            count = len(masks)
+        except TypeError:
+            raise GraphError(f"expected a sequence of neighborhood masks, got {masks!r}") from None
+        if count != i:
+            raise GraphError(f"expected {i} neighborhood masks, got {count}")
         k_mask = (1 << k) - 1
         adj = [m & k_mask for m in self.adj_masks[:k]]
         for j, mask in enumerate(masks):
@@ -435,9 +441,9 @@ def recognize_split(
     Combinatorica 1, 1981).
     """
     adj: dict[str, set[str]] = {}
-    for v in vertices:
+    for v in _members(vertices, "expected a collection of vertex labels"):
         adj.setdefault(_check_label(v), set())
-    for edge in edges:
+    for edge in _members(edges, "expected a collection of edges"):
         a, b = _plain_edge(*_pair(edge))
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)

@@ -81,7 +81,7 @@ from typing import Iterable, Sequence
 
 from .corpus import CorpusSpec, corpus_size, instance, instance_id
 from .factor import FactorGraph, build_by_enumeration, build_by_formula
-from .graph import GraphError, SplitGraph, bits
+from .graph import GraphError, SplitGraph, _members, bits
 
 BUILDERS_AGREE = "builders-agree"
 SIZE_DEGREE = "size-equals-switch-degree"
@@ -171,9 +171,7 @@ def _is_induced(phi: FactorGraph, vertices: Sequence[str], closed: bool) -> bool
     """Whether the vertices are distinct, each is adjacent to the next (and
     the last to the first when closed), and phi has no other edge among them.
     A string is not a sequence of labels, even of one-character ones."""
-    if isinstance(vertices, str):
-        raise GraphError(f"expected a sequence of vertex labels, got {vertices!r}")
-    seq = [phi.index_of(v) for v in vertices]
+    seq = [phi.index_of(v) for v in _members(vertices, "expected a sequence of vertex labels")]
     n = len(seq)
     if n < (3 if closed else 2) or len(set(seq)) != n:
         return False
@@ -193,10 +191,8 @@ def is_induced_cycle(phi: FactorGraph, vertices: Sequence[str]) -> bool:
     return _is_induced(phi, vertices, True)
 
 
-def _induced_path_indices(
-    nbr: tuple[int, ...], max_len: int, min_len: int = 2
-) -> list[tuple[int, ...]]:
-    """Induced paths on min_len..max_len vertices, each kept once, from its
+def _induced_path_indices(nbr: tuple[int, ...], min_len: int = 2) -> list[tuple[int, ...]]:
+    """Induced paths on min_len or more vertices, each kept once, from its
     smaller end.
 
     ``blocked`` holds the path's vertices and the neighbours of every vertex
@@ -204,10 +200,10 @@ def _induced_path_indices(
     outside it.  A path is kept from start ``s`` only if it ends above s, so
     no search starts at the last vertex.  A child path is pushed only if a
     child of its own could be kept (the child path is long enough and has a
-    neighbour above s to grow by) or grown (it is short enough and leaves a
-    vertex above s unblocked): a path that could do neither would yield
-    nothing when popped.  A shorter path is still grown, so the kept paths
-    come in the same order whatever min_len.
+    neighbour above s to grow by) or grown (it leaves a vertex above s
+    unblocked): a path that could do neither would yield nothing when
+    popped.  A shorter path is still grown, so the kept paths come in the
+    same order whatever min_len.
     """
     out: list[tuple[int, ...]] = []
     n = len(nbr)
@@ -220,14 +216,14 @@ def _induced_path_indices(
             child = blocked | nbr[last]
             size = len(path) + 1
             keep = size >= min_len
-            # whether a child's own children are kept, and may be pushed
-            keep_next, grow_next = size + 1 >= min_len, size + 1 < max_len
+            # whether a child's own children are kept
+            keep_next = size + 1 >= min_len
             for w in bits(nbr[last] & ~blocked):
                 grown = path + (w,)
                 if keep and s < w:
                     out.append(grown)
-                if size < max_len and (nxt := nbr[w] & ~child) and (
-                    keep_next and nxt & above or grow_next and above & ~(child | nbr[w])
+                if (nxt := nbr[w] & ~child) and (
+                    keep_next and nxt & above or above & ~(child | nbr[w])
                 ):
                     stack.append((grown, child))
     return out
@@ -276,26 +272,15 @@ def _umbrella_free(nbr: Sequence[int], order: Sequence[int]) -> bool:
     return True
 
 
-def _path_cap(n: int, max_len: int | None) -> int:
-    if max_len is None:
-        return n
-    if type(max_len) is not int or max_len < 2:  # exact type: bool is an int subclass
-        raise GraphError(f"max_len must be an int of at least 2, got {max_len!r}")
-    return min(max_len, n)
-
-
-def enumerate_induced_paths(phi: FactorGraph, max_len: int | None = None) -> list[tuple[str, ...]]:
-    """All induced paths on 2..max_len vertices of phi's simple view.
+def enumerate_induced_paths(phi: FactorGraph) -> list[tuple[str, ...]]:
+    """All induced paths on 2 or more vertices of phi's simple view.
 
     Consecutive multiplicities are positive, all other pairs zero.  Each
     path appears once, oriented so that the endpoint with the smaller
     vertex index comes first.
     """
     verts = phi.vertices
-    return [
-        tuple(verts[i] for i in seq)
-        for seq in _induced_path_indices(phi.neighbor_masks(), _path_cap(len(verts), max_len))
-    ]
+    return [tuple(verts[i] for i in seq) for seq in _induced_path_indices(phi.neighbor_masks())]
 
 
 def enumerate_induced_cycles(phi: FactorGraph) -> list[tuple[str, ...]]:
@@ -614,16 +599,15 @@ def _check_pendant(ctx: _Context, seq: tuple[int, ...]) -> None:
 
 
 def _check_paths(
-    ctx: _Context, paths: Iterable[Sequence[str]] | None, max_len: int | None = None,
-    min_len: int = 2,
+    ctx: _Context, paths: Iterable[Sequence[str]] | None, min_len: int = 2
 ) -> None:
     """Per-path laws over the caller's paths, each validated as induced, or
-    over every induced path of phi on min_len to ``max_len`` vertices."""
+    over every induced path of phi on min_len or more vertices."""
     if paths is None:
-        seqs = _induced_path_indices(ctx.nbr, _path_cap(ctx.n, max_len), min_len)
+        seqs = _induced_path_indices(ctx.nbr, min_len)
     else:
         seqs = []
-        for path in paths:
+        for path in _members(paths, "expected a collection of paths"):
             if not is_induced_path(ctx.phi, path):
                 raise GraphError(f"not an induced path: {' '.join(path)}")
             seqs.append(tuple(ctx.phi.index_of(v) for v in path))
@@ -703,20 +687,24 @@ def check_diameter_bound(S: SplitGraph, phi: FactorGraph | None = None) -> Check
     return ctx.results((DIAMETER_BOUND,))[0]
 
 
-def verify_all(
-    S: SplitGraph, instance: str | None = None, max_len: int | None = None
-) -> VerificationReport:
+def verify_all(S: SplitGraph, instance: str | None = None) -> VerificationReport:
     """Run every structural check against one split graph.
 
     Builds the factor graph both ways, checks the builder and size
-    identities, the pairwise laws, every path law over the induced paths
-    (capped at ``max_len`` vertices when given), and the two whole-graph
-    laws, all on one check context.
+    identities, the pairwise laws, every path law over the induced paths,
+    and the two whole-graph laws, all on one check context.
 
-    A cap hides laws: no law is checked on a path longer than ``max_len``,
-    yet each still passes.  When the builder and pair laws pass, the
-    certificate below covers only paths of 2 and 3 vertices, so a cap of 3
-    or less checks no path at all.
+    No induced path of phi(S) has more than 2|K| vertices, so the path
+    search needs no length cap.  On an induced path of 4 or more vertices,
+    any two vertices at odd positions are non-adjacent, so by
+    nesting-iff-zero their neighborhoods in S are nested.  They are not
+    equal either: some vertex of the path is adjacent to one and not the
+    other, while twins have equal phi-rows.  A vertex with no neighbor in
+    S has multiplicity 0 with every vertex, so it lies on no path.  The odd
+    positions thus form a strict chain of non-empty subsets of K, which has
+    at most |K| members, and so do the even ones.  A shorter path has an
+    edge, which needs a private neighbor on each side, so |K| >= 2 and its
+    3 or fewer vertices are within 2|K| as well.
 
     When none of the builder and pair laws has failed, the per-path laws
     are checked on induced paths of 4 or more vertices only: on 2 and 3
@@ -760,7 +748,7 @@ def verify_all(
         ctx.failed[SIZE_DEGREE] = f"size {size} != switch degree {phi_enum.size()}"
     _check_pairs(ctx)
     # with every law so far passing, the path laws hold below 4 vertices
-    _check_paths(ctx, None, max_len, 2 if ctx.failed else 4)
+    _check_paths(ctx, None, 2 if ctx.failed else 4)
     if NESTING_IFF in ctx.failed:
         _check_cycles(ctx)
     _check_diameter(ctx)
@@ -784,9 +772,7 @@ class SweepSummary:
         return not self.failed
 
 
-def _failures(
-    spec: CorpusSpec, max_len: int | None, index: int
-) -> tuple[str, tuple[CheckResult, ...]] | None:
+def _failures(spec: CorpusSpec, index: int) -> tuple[str, tuple[CheckResult, ...]] | None:
     """The id and failed checks of one corpus instance, or None when it passes.
 
     An exception raised while building or verifying the instance is that
@@ -795,18 +781,17 @@ def _failures(
     """
     instance_name = instance_id(spec, index)
     try:
-        report = verify_all(instance(spec, index), instance=instance_name, max_len=max_len)
+        report = verify_all(instance(spec, index), instance=instance_name)
     except Exception as exc:
         failure = CheckResult(INTERNAL_ERROR, False, f"{type(exc).__name__}: {exc}")
         return instance_name, (failure,)
     return None if report.ok else (instance_name, tuple(report.failures()))
 
 
-def sweep(spec: CorpusSpec, workers: int = 1, max_len: int | None = None) -> SweepSummary:
+def sweep(spec: CorpusSpec, workers: int = 1) -> SweepSummary:
     """Verify every instance of a corpus; reports merge in index order."""
-    _path_cap(2, max_len)  # a bad max_len raises here once, not once per instance
     total = corpus_size(spec)
-    check = partial(_failures, spec, max_len)
+    check = partial(_failures, spec)
     if workers <= 1 or total < 2048:
         failed = [found for found in map(check, range(total)) if found]
     else:

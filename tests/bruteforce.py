@@ -116,12 +116,12 @@ def brute_split_partitions(
     return out
 
 
-def brute_induced_paths(phi: FactorGraph, max_len: int) -> set[tuple[str, ...]]:
+def brute_induced_paths(phi: FactorGraph) -> set[tuple[str, ...]]:
     """Canonical induced paths by filtering every vertex sequence."""
     verts = phi.vertices
     idx = {v: phi.index_of(v) for v in verts}
     found = set()
-    for size in range(2, min(max_len, len(verts)) + 1):
+    for size in range(2, len(verts) + 1):
         for seq in permutations(verts, size):
             if idx[seq[0]] > idx[seq[-1]]:
                 continue

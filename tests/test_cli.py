@@ -137,8 +137,12 @@ class TestVerify:
         assert "NOTE nesting-iff-zero neighborhood-equal-pairs=1" in capsys.readouterr().out
 
     def test_max_len_flag(self, demo_file, capsys):
-        assert main(["verify", demo_file, "--max-len", "3"]) == 0
-        assert "0 failures" in capsys.readouterr().out
+        # the path search needs no length cap, so there is no option to set one
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", demo_file, "--max-len", "3"])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(": error: unrecognized arguments: --max-len 3\n")
 
     def test_parse_error_exit_1(self, tmp_path, capsys):
         f = write(tmp_path, "bad.split", "K: x\nI: 1 2\n1 2\n")
@@ -268,7 +272,7 @@ class TestSweep:
 
         requested = []
 
-        def fake_sweep(spec, workers=1, max_len=None):
+        def fake_sweep(spec, workers=1):
             requested.append(workers)
             return SweepSummary(0, ())
 
@@ -297,10 +301,10 @@ class TestSweep:
         real = splitfactor.verify.verify_all
         bad = instance_id(CorpusSpec("exhaustive", 2, 2), 5)
 
-        def flaky(S, instance=None, max_len=None):
+        def flaky(S, instance=None):
             if instance == bad:
                 raise ZeroDivisionError("boom")
-            return real(S, instance=instance, max_len=max_len)
+            return real(S, instance=instance)
 
         monkeypatch.setattr(splitfactor.verify, "verify_all", flaky)
         assert main(["sweep", "--kmax", "2", "--imax", "2"]) == 2
@@ -312,7 +316,7 @@ class TestSweep:
     def test_failure_lines_capped_at_50(self, capsys, monkeypatch, count, suppressed):
         import splitfactor.verify
 
-        def broken(S, instance=None, max_len=None):
+        def broken(S, instance=None):
             raise ZeroDivisionError("boom")
 
         monkeypatch.setattr(splitfactor.verify, "verify_all", broken)
@@ -326,13 +330,12 @@ class TestSweep:
                    for line in lines[1:51])
         assert (lines[-1] == "... (more failures suppressed)") == suppressed
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_bad_max_len_is_one_error_line(self, capsys, workers):
-        argv = ["sweep", "--kmax", "2", "--imax", "2", "--max-len", "1", "--workers", workers]
-        assert main(argv) == 1
-        assert capsys.readouterr() == (
-            "", "splitfactor: error: max_len must be an int of at least 2, got 1\n"
-        )
+    def test_max_len_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--kmax", "2", "--imax", "2", "--max-len", "4"])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(": error: unrecognized arguments: --max-len 4\n")
 
     def test_budget_error_exit_1(self, capsys):
         assert main(["sweep", "--kmax", "5", "--imax", "5"]) == 1

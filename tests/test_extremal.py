@@ -10,6 +10,7 @@ from splitfactor import (
     SplitGraph,
     build_by_formula,
     build_extremal,
+    enumerate_induced_paths,
     expected_multiplicities,
     verify_extremal,
 )
@@ -80,6 +81,10 @@ def test_diameter_meets_bound_exactly():
         phi = build_by_formula(inst.graph)
         assert phi.size() == n
         assert phi.diameter() == (n + 2) // 2 == (phi.size() + 2) // 2
+        # a shortest path is induced, and no induced path of phi(S) has more
+        # than 2|K| vertices (the proof is in verify_all's docstring)
+        longest = max(map(len, enumerate_induced_paths(phi)))
+        assert phi.diameter() < longest <= 2 * inst.graph.k_size
 
 
 @pytest.mark.parametrize("bad", [0, -3, "x", 2.5, True])

@@ -327,17 +327,3 @@ class TestOutput:
 
     def test_dot_frozen(self, demo_graph):
         assert to_dot(build_by_formula(demo_graph)) == DEMO_DOT
-
-    def test_dot_custom_name(self):
-        assert to_dot(FactorGraph((), {}), name="g") == "graph g {\n}\n"
-
-    @pytest.mark.parametrize("name, header", [
-        ('my "odd" \\ graph', 'graph "my \\"odd\\" \\\\ graph" {'),
-        ("graph", 'graph "graph" {'),
-        ("Node", 'graph "Node" {'),
-        ("2phi", 'graph "2phi" {'),
-        ("", 'graph "" {'),
-        ("_phi_2", "graph _phi_2 {"),
-    ])
-    def test_dot_name_quoted_unless_bare_id(self, name, header):
-        assert to_dot(FactorGraph(("a",), {}), name=name) == f'{header}\n  "a";\n}}\n'

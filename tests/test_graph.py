@@ -15,10 +15,14 @@ from splitfactor import (
     GraphError,
     ParseError,
     SplitGraph,
+    build_by_formula,
+    check_paths,
     enumerate_two_switches,
     format_split_text,
     generate,
     instance,
+    is_induced_cycle,
+    is_induced_path,
     parse_edge_list,
     parse_split_text,
     recognize_split,
@@ -189,6 +193,36 @@ class TestConstruction:
         # a string is not a set of labels, even of one-character ones
         with pytest.raises(GraphError, match="neighborhood of '1'"):
             SplitGraph.from_neighborhoods(["x", "y"], {"1": members})
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda S: is_induced_path(build_by_formula(S), 5),
+                     "expected a sequence of vertex labels, got 5", id="is_induced_path-int"),
+        pytest.param(lambda S: is_induced_cycle(build_by_formula(S), None),
+                     "expected a sequence of vertex labels, got None", id="is_induced_cycle-none"),
+        pytest.param(lambda S: check_paths(S, paths=5),
+                     "expected a collection of paths, got 5", id="check_paths-int"),
+        pytest.param(lambda S: check_paths(S, paths=[5]),
+                     "expected a sequence of vertex labels, got 5", id="check_paths-int-path"),
+        pytest.param(lambda S: S.with_masks(None),
+                     "expected a sequence of neighborhood masks, got None", id="with_masks-none"),
+        pytest.param(lambda S: S.with_masks(iter([1, 2, 4, 8])),
+                     "expected a sequence of neighborhood masks, got <list_iterator",
+                     id="with_masks-iterator"),
+        pytest.param(lambda S: recognize_split(5),
+                     "expected a collection of edges, got 5", id="recognize_split-edges"),
+        pytest.param(lambda S: recognize_split([("a", "b")], 5),
+                     "expected a collection of vertex labels, got 5", id="recognize_split-vertices"),
+        # a string is not a collection of labels, even of one-character ones
+        pytest.param(lambda S: recognize_split([], "ab"),
+                     "expected a collection of vertex labels, got 'ab'",
+                     id="recognize_split-string-vertices"),
+        pytest.param(lambda S: SplitGraph(["x"], ["1"], 5),
+                     "expected a collection of edges, got 5", id="SplitGraph-edges"),
+    ])
+    def test_non_collection_argument_rejected(self, demo_graph, call, message):
+        with pytest.raises(GraphError) as exc:
+            call(demo_graph)
+        assert str(exc.value).startswith(message)
 
     @pytest.mark.parametrize("neighborhoods", [[("1", "x")], None], ids=["pairs", "none"])
     def test_from_neighborhoods_rejects_a_non_mapping(self, neighborhoods):

@@ -190,22 +190,6 @@ class TestEnumerators:
         for p in enumerate_induced_paths(phi):
             assert phi.index_of(p[0]) < phi.index_of(p[-1])
 
-    def test_max_len_caps_enumeration(self, demo_graph):
-        phi = build_by_formula(demo_graph)
-        assert len(enumerate_induced_paths(phi, max_len=3)) == 5
-        assert len(enumerate_induced_paths(phi, max_len=2)) == 3
-        with pytest.raises(GraphError, match="max_len"):
-            enumerate_induced_paths(phi, max_len=1)
-
-    @pytest.mark.parametrize("max_len", [2.5, 3.0, "3", True])
-    @pytest.mark.parametrize("run", [
-        lambda S, max_len: enumerate_induced_paths(build_by_formula(S), max_len=max_len),
-        lambda S, max_len: verify_all(S, max_len=max_len),
-    ], ids=["enumerate_induced_paths", "verify_all"])
-    def test_max_len_must_be_an_int(self, demo_graph, run, max_len):
-        with pytest.raises(GraphError, match="max_len must be an int"):
-            run(demo_graph, max_len)
-
     def test_tiny_vertex_sets(self):
         assert enumerate_induced_paths(FactorGraph((), {})) == []
         assert enumerate_induced_paths(FactorGraph(("a",), {})) == []
@@ -224,7 +208,8 @@ class TestEnumerators:
         assert len(enumerate_induced_paths(phi)) == 6
         assert all(len(c) == 3 for c in enumerate_induced_cycles(phi))
 
-    # paths written as label strings; witnesses depend on this exact order
+    # paths written as label strings, those of at most 2 and 3 vertices and
+    # all of them; witnesses depend on this exact order
     PINNED_ORDERS = {
         "ring": (
             ring(tuple("abcde")),
@@ -259,8 +244,9 @@ class TestEnumerators:
             pinned = ("12 23 34", "12 123 23 234 34", "12 123 1234 23 234 34")
         else:
             phi, *pinned = self.PINNED_ORDERS[name]
-        for max_len, expected in zip((2, 3, None), pinned):
-            got = " ".join("".join(p) for p in enumerate_induced_paths(phi, max_len))
+        paths = enumerate_induced_paths(phi)
+        for most, expected in zip((2, 3, len(phi.vertices)), pinned):
+            got = " ".join("".join(p) for p in paths if len(p) <= most)
             assert got == expected
 
     def test_matches_bruteforce_on_random_multigraphs(self):
@@ -270,7 +256,7 @@ class TestEnumerators:
             phi = random_multigraph(rng, n, 0.4)
             got_paths = set(enumerate_induced_paths(phi))
             got_cycles = set(enumerate_induced_cycles(phi))
-            assert got_paths == brute_induced_paths(phi, n)
+            assert got_paths == brute_induced_paths(phi)
             assert got_cycles == brute_induced_cycles(phi)
             for p in got_paths:
                 assert is_induced_path(phi, p)
@@ -637,10 +623,6 @@ class TestVerifyAll:
         assert verify_all(demo_graph).ok
         assert calls == [demo_graph]
 
-    def test_max_len_cap_still_passes(self, demo_graph):
-        report = verify_all(demo_graph, max_len=3)
-        assert report.ok and len(report.checks) == len(CHECK_NAMES)
-
     @settings(max_examples=60, deadline=None)
     @given(split_graphs(k_max=5, i_max=5))
     def test_all_checks_hold_property(self, S):
@@ -768,15 +750,19 @@ class TestShortPathCertificate:
 
     @pytest.mark.parametrize("spec", [
         CorpusSpec("exhaustive", 3, 3),
+        CorpusSpec("exhaustive", 3, 4),
         CorpusSpec("exhaustive", 4, 4),
         CorpusSpec("random", 8, 8, count=2000, seed=4242),
-    ], ids=["exhaustive-3x3", "exhaustive-4x4", "random-8x8"])
+    ], ids=["exhaustive-3x3", "exhaustive-3x4", "exhaustive-4x4", "random-8x8"])
     def test_short_path_laws_hold_on_corpus(self, spec):
         lengths = Counter()
         for index in range(corpus_size(spec)):
             S = instance(spec, index)
             phi = build_by_formula(S)
-            short = enumerate_induced_paths(phi, 3)
+            paths = enumerate_induced_paths(phi)
+            # the bound proved in verify_all's docstring
+            assert all(len(p) <= 2 * S.k_size for p in paths), instance_id(spec, index)
+            short = [p for p in paths if len(p) <= 3]
             lengths.update(map(len, short))
             assert check_paths(S, phi, short) == self.PASSING, instance_id(spec, index)
         assert lengths[2] and lengths[3]
@@ -927,9 +913,9 @@ class TestSweep:
         assert summary.instances == 16
         assert summary.ok and summary.failures == 0
 
-    def test_random_mode_with_cap(self):
+    def test_random_mode(self):
         spec = CorpusSpec("random", 8, 8, count=50, seed=7)
-        summary = sweep(spec, max_len=4)
+        summary = sweep(spec)
         assert summary.instances == 50 and summary.ok
 
     def test_parallel_matches_inline(self):
@@ -1012,15 +998,6 @@ class TestSweep:
         failure = CheckResult("internal-error", False, "ZeroDivisionError: boom")
         assert summary.failed == ((instance_id(spec, 5), (failure,)),)
         assert failure.line() == "CHECK internal-error FAIL ZeroDivisionError: boom"
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_bad_max_len_rejected_before_the_first_instance(self, monkeypatch, workers):
-        built = []
-        monkeypatch.setattr(splitfactor.verify, "instance", lambda *args: built.append(args))
-        # 4096 instances: two workers would take the pool
-        with pytest.raises(GraphError, match="^max_len must be an int of at least 2, got 1$"):
-            sweep(CorpusSpec("exhaustive", 4, 3), workers=workers, max_len=1)
-        assert built == []
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
