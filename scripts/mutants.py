@@ -6,12 +6,13 @@ A failure-recording statement is, found with ``ast``, a call
 ``<failed>[...] = ...``, where ``<failed>`` is a name or attribute named
 ``failed``.  For each one in turn the script copies the package to a
 temporary directory, replaces the statement with ``pass`` there, and runs
-``pytest -x`` on the module's test file (``test_<module>.py``) against
-that copy.  A mutant whose tests fail is killed; one whose tests pass
+the whole of the module's test file (``test_<module>.py``) against that
+copy.  A mutant whose tests fail is killed; one whose tests pass
 survives.
 
-Prints one line per mutant, "<module>:<line> killed by <test id>" or
-"<module>:<line> SURVIVED", then a summary line.  First the test files
+Prints one line per mutant, "<module>:<line> killed by <test id>, ..."
+naming every test that failed, or "<module>:<line> SURVIVED", then a
+summary line.  First the test files
 are run once on the unchanged package; when they fail, or a run ends
 with a status other than pass or fail, that status is returned.  Exits 1
 when a mutant survives and 0 otherwise.
@@ -75,9 +76,10 @@ def without(source: str, node: ast.stmt) -> str:
 
 def run_tests(package_parent: Path, test_file: Path) -> tuple[int, str]:
     """pytest's exit status on ``test_file`` with the package imported from
-    ``package_parent``, and the id of the first failing test."""
+    ``package_parent``, and the ids of every failing test, comma-separated
+    (the tail of pytest's output when none failed)."""
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--tb=no", "-rf", "-o", f"pythonpath={package_parent}", str(test_file)],
         capture_output=True, text=True, cwd=test_file.parent.parent,
         # a cached bytecode file could outlive a mutant written in the same second
@@ -85,7 +87,7 @@ def run_tests(package_parent: Path, test_file: Path) -> tuple[int, str]:
     )
     failed = [line[len("FAILED "):].split(" - ")[0]
               for line in proc.stdout.splitlines() if line.startswith("FAILED ")]
-    return proc.returncode, failed[0] if failed else proc.stdout.strip()[-500:]
+    return proc.returncode, ", ".join(failed) if failed else proc.stdout.strip()[-500:]
 
 
 def main() -> int:

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .factor import FactorGraph
+from .factor import FactorGraph, build_by_formula
 from .graph import GraphError, SplitGraph
 from .switches import enumerate_two_switches
-from .verify import CheckResult, _Context
+from .verify import CheckResult
 
 EXTREMAL_DEGREE = "extremal-switch-degree"
 EXTREMAL_PATH = "extremal-path-shape"
@@ -111,14 +111,14 @@ def _spanning_path(phi: FactorGraph) -> tuple[str, ...] | None:
 def verify_extremal(inst: ExtremalInstance) -> list[CheckResult]:
     """Recompute the factor graph and check every promised property.
 
-    Runs on a check context over the instance's graph, whose formula factor
-    graph is the one checked; results come in ``EXTREMAL_CHECK_NAMES``
-    order, each failure with its witness.  An index n that is not an
-    integer >= 1 raises ``GraphError`` before any check runs.
+    The formula factor graph of the instance's graph is the one checked;
+    results come in ``EXTREMAL_CHECK_NAMES`` order, each failure with its
+    witness.  An index n that is not an integer >= 1 raises ``GraphError``
+    before any check runs.
     """
     _check_index(inst.n)
-    ctx = _Context(inst.graph)
-    phi, n, length, failed = ctx.phi, inst.n, inst.path_length, ctx.failed
+    phi, n, length = build_by_formula(inst.graph), inst.n, inst.path_length
+    failed: dict[str, str] = {}
 
     moves = len(enumerate_two_switches(inst.graph))
     if phi.size() != n or moves != n:
@@ -143,4 +143,5 @@ def verify_extremal(inst: ExtremalInstance) -> list[CheckResult]:
     bound = (phi.size() + 2) // 2
     if not (diam == length and bound == length):
         failed[EXTREMAL_DIAMETER] = f"n={n}; diameter {diam}, bound {bound}, want {length}"
-    return ctx.results(EXTREMAL_CHECK_NAMES)
+    return [CheckResult(name, name not in failed, failed.get(name))
+            for name in EXTREMAL_CHECK_NAMES]

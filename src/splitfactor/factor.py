@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .graph import GraphError, SplitGraph, _label_index, _lookup, _mapping, _pair, bits
+from .graph import GraphError, SplitGraph, _label_index, _lookup, _mapping, _members, _pair, bits
 
 
 class FactorGraph:
@@ -39,7 +39,7 @@ class FactorGraph:
         vertices: Iterable[str],
         multiplicities: Mapping[tuple[str, str], int],
     ):
-        verts = tuple(vertices)
+        verts = tuple(_members(vertices, "expected a collection of vertex labels"))
         index = _label_index(verts)
         given: dict[tuple[int, int], int] = {}  # every entry, zeros included
         mult: dict[tuple[int, int], int] = {}

@@ -186,8 +186,8 @@ class SplitGraph:
         independent: Iterable[str],
         edges: Iterable[tuple[str, str]] = (),
     ):
-        clique_t = tuple(clique)
-        independent_t = tuple(independent)
+        clique_t = tuple(_members(clique, "expected a collection of vertex labels"))
+        independent_t = tuple(_members(independent, "expected a collection of vertex labels"))
         labels = clique_t + independent_t
         index = _label_index(labels)
         k = len(clique_t)

@@ -61,9 +61,11 @@ degree order; a connected phi with |I| - 1 within the bound) and search
 for a witness only otherwise.  ``verify_all`` decides more laws the same
 way, each proof in the docstring of the function that relies on it:
 
-- the four pair laws, by one comparability test per unordered I-pair;
-  the scan over every ordered pair runs only when that test fails, to
-  name each law's first witness (``_check_pairs``);
+- the pair laws, in one pass over the unordered I-pairs: a pair that
+  passes one comparability test keeps nesting-iff-zero both ways,
+  equality-iff-zero-equal-degrees and simple-edge-balanced, so only the
+  other pairs evaluate them, and twins-equal-phi-rows compares the
+  phi-rows of every equal pair (``_check_pairs``);
 - the cycle law, by nesting-iff-zero, which makes the degree order
   umbrella-free; the cycle check runs only when that law fails
   (``_check_cycles``);
@@ -307,11 +309,11 @@ class _Context:
     ``a * n + b``).  ``failed`` maps a law name to the witness
     of its first failure and ``notes`` a law name to its note; a law that
     never failed is absent from ``failed``, so witnesses are formatted only
-    on failure.  ``verify_extremal`` records its five checks on one too.
+    on failure.
     """
 
-    __slots__ = ("phi", "labels", "n", "deg", "nmask", "mult", "nbr", "k_size", "clique_law",
-                 "failed", "notes")
+    __slots__ = ("phi", "labels", "n", "deg", "nmask", "mult", "nbr", "clique_law", "failed",
+                 "notes")
 
     def __init__(self, S: SplitGraph, phi: FactorGraph | None = None):
         phi = build_by_formula(S) if phi is None else phi
@@ -327,7 +329,6 @@ class _Context:
         self.deg = [m.bit_count() for m in self.nmask]
         self.mult = phi.multiplicity_table()
         self.nbr = phi.neighbor_masks()
-        self.k_size = S.k_size
         union = reduce(or_, self.nmask, 0)
         # the clique-excess law speaks of a phi that is a path over all of I,
         # with K the union of all I-neighborhoods
@@ -350,13 +351,15 @@ class _Context:
 
 
 def _check_pairs(ctx: _Context) -> None:
-    """The four pair laws, decided by one comparability test per I-pair.
+    """The four pair laws in one pass over the I-pairs a < b, each keeping
+    its first witness; the number of equal-neighborhood pairs, when there
+    are any, is noted on nesting-iff-zero.
 
-    For each pair a < b, with only_a = N_a - N_b and only_b = N_b - N_a,
-    the pass fails when the multiplicity m is 0 exactly when both are
-    non-empty (m > 0 on nested neighborhoods, or m = 0 on unnested ones),
-    or when m is 1 and only_a, only_b are not single vertices; it counts
-    the equal pairs for the note.  When no pair fails, all four laws hold:
+    With m the multiplicity, only_a = N_a - N_b and only_b = N_b - N_a, a
+    pair is clean when m > 0 exactly when both are non-empty, and m = 1
+    only with a single vertex in each.  A clean pair keeps nesting-iff-zero
+    in both orders and the equality and simple-edge laws, so only a pair
+    that is not clean evaluates them:
 
     - nesting-iff-zero: take the ordered pair (u, v).  If m = 0, N_u and
       N_v are nested, so N_v lies inside N_u exactly when d_v <= d_u (on
@@ -365,69 +368,47 @@ def _check_pairs(ctx: _Context) -> None:
     - equality-iff-zero-equal-degrees: equal neighborhoods are nested, so
       m = 0; m = 0 makes them nested, and equal degrees then make them
       equal.
-    - twins-equal-phi-rows: phi's simple-view edges are its positive
-      multiplicities, and by the first law vertex c is adjacent to u
-      exactly when N_c and N_u are not nested; that is the same for u and
-      v when N_u = N_v, and u, v themselves are not adjacent.
     - simple-edge-balanced: single private neighbors on both sides give
-      equal degrees, so the second test is the law itself.
+      equal degrees.
 
-    Only when the pass fails does the ordered scan run, to name each law's
-    first witness.
+    The nesting witness is the smallest failing ordered pair (u, v), which
+    a pair a < b may give either way round.  twins-equal-phi-rows compares
+    the phi-rows of every equal pair.
     """
-    nmask, n, mult = ctx.nmask, ctx.n, ctx.mult
+    labels, deg, nmask, nbr, failed = ctx.labels, ctx.deg, ctx.nmask, ctx.nbr, ctx.failed
+    n, mult = ctx.n, ctx.mult
     equal_pairs = 0
+    nest = (n, 0)  # after every ordered pair
     for a in range(n - 1):
-        Na, row = nmask[a], a * n
+        Na, da, row = nmask[a], deg[a], a * n
         for b in range(a + 1, n):
             Nb, m = nmask[b], mult[row + b]
             only_a, only_b = Na & ~Nb, Nb & ~Na
             if m:
-                if not (only_a and only_b) or (
-                    m == 1 and not only_a.bit_count() == 1 == only_b.bit_count()
-                ):
-                    _find_pair_witnesses(ctx)
-                    return
-            elif only_a and only_b:
-                _find_pair_witnesses(ctx)
-                return
-            elif Na == Nb:
-                equal_pairs += 1
-    if equal_pairs:
-        ctx.notes[NESTING_IFF] = f"neighborhood-equal-pairs={equal_pairs}"
-
-
-def _find_pair_witnesses(ctx: _Context) -> None:
-    """Pair laws over every ordered pair, each keeping its first witness;
-    the number of equal-neighborhood pairs, when there are any, is noted on
-    nesting-iff-zero."""
-    labels, deg, nmask, nbr, failed = ctx.labels, ctx.deg, ctx.nmask, ctx.nbr, ctx.failed
-    n, mult = ctx.n, ctx.mult
-    equal_pairs = 0
-    for a in range(n):
-        da, Na = deg[a], nmask[a]
-        row = a * n
-        for b in range(n):
-            if a == b:
-                continue
-            m = mult[row + b]
-            Nb = nmask[b]
-            if (m == 0 and deg[b] <= da) != ((Nb & ~Na) == 0):
-                failed.setdefault(NESTING_IFF, f"pair {labels[a]} {labels[b]}")
-            if a < b:
-                equal = Na == Nb
-                if (m == 0 and da == deg[b]) != equal:
-                    failed.setdefault(EQUALITY_IFF, f"pair {labels[a]} {labels[b]}")
-                if equal:
+                if only_a and only_b and (m > 1 or only_a.bit_count() == 1 == only_b.bit_count()):
+                    continue
+            elif not (only_a and only_b):
+                if Na == Nb:
                     equal_pairs += 1
                     if nbr[a] != nbr[b]:
                         failed.setdefault(TWIN_ROWS, f"pair {labels[a]} {labels[b]}")
-                if m == 1 and not (
-                    da == deg[b]
-                    and (Na & ~Nb).bit_count() == 1
-                    and (Nb & ~Na).bit_count() == 1
-                ):
-                    failed.setdefault(SIMPLE_BALANCED, f"pair {labels[a]} {labels[b]}")
+                continue
+            # a pair that is not clean
+            pair, db = f"pair {labels[a]} {labels[b]}", deg[b]
+            if (m == 0 and db <= da) != (not only_b):
+                nest = min(nest, (a, b))
+            if (m == 0 and da <= db) != (not only_a):
+                nest = min(nest, (b, a))
+            if (m == 0 and da == db) != (Na == Nb):
+                failed.setdefault(EQUALITY_IFF, pair)
+            if Na == Nb:
+                equal_pairs += 1
+                if nbr[a] != nbr[b]:
+                    failed.setdefault(TWIN_ROWS, pair)
+            if m == 1 and not (da == db and only_a.bit_count() == 1 == only_b.bit_count()):
+                failed.setdefault(SIMPLE_BALANCED, pair)
+    if nest[0] < n:
+        failed.setdefault(NESTING_IFF, f"pair {labels[nest[0]]} {labels[nest[1]]}")
     if equal_pairs:
         ctx.notes[NESTING_IFF] = f"neighborhood-equal-pairs={equal_pairs}"
 
@@ -480,27 +461,31 @@ def _fail_chain(ctx: _Context, seq: tuple[int, ...], i: int, j: int) -> None:
 
 def _check_first_edge(ctx: _Context, seq: tuple[int, ...], union: int) -> None:
     """Divisibility laws on the first edge of a head-maximal orientation whose
-    path neighborhoods have union ``union``."""
+    path neighborhoods have union ``union``.
+
+    The clique-excess law speaks of a path through all of phi when K is the
+    union of all I-neighborhoods; the path's union is then K, so its clique
+    excess is the union excess.
+    """
     excess = union.bit_count() - ctx.deg[seq[0]]
     first = ctx.mult[seq[0] * ctx.n + seq[1]]
+    clique = ctx.clique_law and len(seq) == ctx.n
     if excess == 0:
         # impossible while first > 0; reaching this means the instance is inconsistent
         ctx.fail(DIV_UNION, seq, "degenerate divisor (internal inconsistency)")
         ctx.fail(SQRT_BOUND, seq, "degenerate divisor (internal inconsistency)")
+        if clique:
+            ctx.fail(DIV_CLIQUE, seq, "degenerate divisor (internal inconsistency)")
     else:
         if first % excess:
             ctx.fail(DIV_UNION, seq,
                      f"union excess {excess} does not divide first multiplicity {first}")
+            if clique:
+                ctx.fail(DIV_CLIQUE, seq,
+                         f"clique excess {excess} does not divide first multiplicity {first}")
         if excess * excess > first:
             ctx.fail(SQRT_BOUND, seq,
                      f"union excess {excess} exceeds sqrt of first multiplicity {first}")
-    if ctx.clique_law and len(seq) == ctx.n:
-        clique_excess = ctx.k_size - ctx.deg[seq[0]]
-        if clique_excess == 0:
-            ctx.fail(DIV_CLIQUE, seq, "degenerate divisor (internal inconsistency)")
-        elif first % clique_excess:
-            ctx.fail(DIV_CLIQUE, seq,
-                     f"clique excess {clique_excess} does not divide first multiplicity {first}")
 
 
 def _check_path(ctx: _Context, p: tuple[int, ...]) -> None:
@@ -694,17 +679,30 @@ def verify_all(S: SplitGraph, instance: str | None = None) -> VerificationReport
     identities, the pairwise laws, every path law over the induced paths,
     and the two whole-graph laws, all on one check context.
 
-    No induced path of phi(S) has more than 2|K| vertices, so the path
-    search needs no length cap.  On an induced path of 4 or more vertices,
-    any two vertices at odd positions are non-adjacent, so by
-    nesting-iff-zero their neighborhoods in S are nested.  They are not
-    equal either: some vertex of the path is adjacent to one and not the
-    other, while twins have equal phi-rows.  A vertex with no neighbor in
-    S has multiplicity 0 with every vertex, so it lies on no path.  The odd
-    positions thus form a strict chain of non-empty subsets of K, which has
-    at most |K| members, and so do the even ones.  A shorter path has an
-    edge, which needs a private neighbor on each side, so |K| >= 2 and its
-    3 or fewer vertices are within 2|K| as well.
+    No induced path of phi(S) has more than |K| + 1 vertices, so the path
+    search needs no length cap, and a connected phi(S), whose shortest
+    paths are induced, has diameter at most |K|.  An edge needs a private
+    neighbor on each side, so |K| >= 2 and a path of 2 or 3 vertices is
+    within the bound.  Take an induced path v_1 ... v_L with L >= 4, and
+    write N_i for the neighborhood of v_i in S.
+
+    - v_i and v_j with j >= i + 2 are non-adjacent, so by
+      nesting-iff-zero N_i and N_j are nested.  They are not equal: some
+      vertex of the path is adjacent to one and not the other, while
+      twins have equal phi-rows.  Consecutive vertices are adjacent, so
+      their neighborhoods are not nested.
+    - So no N_m lies strictly between the neighborhoods of two
+      consecutive vertices.  If N_{i+2} lies inside N_i, then so does
+      every N_j with j >= i + 2, going up j (else N_{j-1}, N_i, N_j would
+      be such a chain), and N_{i+3} lies inside N_{i+1} (else N_{i+1},
+      N_{i+3}, N_i would be).  The same holds with every inclusion
+      reversed, so the pair (1, 3) sets the way of every pair: reversing
+      the path if need be, N_j is a proper subset of N_i whenever
+      j >= i + 2.
+    - For each i < L pick y_{i+1} in N_{i+1} - N_i.  It lies in every
+      N_j with j <= i - 1, which contains N_{i+1}, so for
+      2 <= a < b <= L, y_b is in N_{a-1} and y_a is not.  The L - 1
+      vertices y_2 ... y_L are thus distinct, and all lie in K.
 
     When none of the builder and pair laws has failed, the per-path laws
     are checked on induced paths of 4 or more vertices only: on 2 and 3

@@ -360,3 +360,39 @@ def brute_path_laws(
                     fail("p3-first-multiplicity", seq,
                          "first multiplicity differs from degree gap plus one")
     return failed
+
+
+def brute_pair_laws(S: SplitGraph, phi: FactorGraph) -> tuple[dict[str, str], dict[str, str]]:
+    """The four pair laws over every ordered pair (u, v) of phi's vertices,
+    in index order, written on neighbourhood sets and phi's own queries.
+
+    Returns the witness of each law's first failure, a law that never fails
+    being absent, and the note on nesting-iff-zero: the number of
+    equal-neighbourhood pairs, when there are any.  nesting-iff-zero is
+    asserted for both orders of a pair, the other laws once per pair,
+    with u before v.
+    """
+    verts = phi.vertices
+    N = {v: S.neighborhood(v) for v in verts}
+    rows = {v: set(phi.neighbors(v)) for v in verts}
+    failed: dict[str, str] = {}
+    equal_pairs = 0
+    for u, v in permutations(verts, 2):
+        m = phi.multiplicity(u, v)
+        pair = f"pair {u} {v}"
+        if (m == 0 and len(N[v]) <= len(N[u])) != (N[v] <= N[u]):
+            failed.setdefault("nesting-iff-zero", pair)
+        if verts.index(u) > verts.index(v):
+            continue
+        equal = N[u] == N[v]
+        if (m == 0 and len(N[u]) == len(N[v])) != equal:
+            failed.setdefault("equality-iff-zero-equal-degrees", pair)
+        if equal:
+            equal_pairs += 1
+            if rows[u] != rows[v]:
+                failed.setdefault("twins-equal-phi-rows", pair)
+        balanced = len(N[u]) == len(N[v]) and len(N[u] - N[v]) == 1 == len(N[v] - N[u])
+        if m == 1 and not balanced:
+            failed.setdefault("simple-edge-balanced", pair)
+    notes = {"nesting-iff-zero": f"neighborhood-equal-pairs={equal_pairs}"} if equal_pairs else {}
+    return failed, notes

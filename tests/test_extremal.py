@@ -81,10 +81,13 @@ def test_diameter_meets_bound_exactly():
         phi = build_by_formula(inst.graph)
         assert phi.size() == n
         assert phi.diameter() == (n + 2) // 2 == (phi.size() + 2) // 2
-        # a shortest path is induced, and no induced path of phi(S) has more
-        # than 2|K| vertices (the proof is in verify_all's docstring)
+        # no induced path of phi(S) has more than |K| + 1 vertices, so the
+        # diameter is at most |K| (the proof is in verify_all's docstring);
+        # the family meets both bounds for even n
+        k = inst.graph.k_size
         longest = max(map(len, enumerate_induced_paths(phi)))
-        assert phi.diameter() < longest <= 2 * inst.graph.k_size
+        assert longest == (k + 1 if n % 2 == 0 else k)
+        assert phi.diameter() == longest - 1 <= k
 
 
 @pytest.mark.parametrize("bad", [0, -3, "x", 2.5, True])

@@ -218,6 +218,18 @@ class TestConstruction:
                      id="recognize_split-string-vertices"),
         pytest.param(lambda S: SplitGraph(["x"], ["1"], 5),
                      "expected a collection of edges, got 5", id="SplitGraph-edges"),
+        pytest.param(lambda S: SplitGraph(5, ()),
+                     "expected a collection of vertex labels, got 5", id="SplitGraph-int-clique"),
+        pytest.param(lambda S: SplitGraph("ab", ()),
+                     "expected a collection of vertex labels, got 'ab'",
+                     id="SplitGraph-string-clique"),
+        pytest.param(lambda S: SplitGraph(["x"], "ab"),
+                     "expected a collection of vertex labels, got 'ab'",
+                     id="SplitGraph-string-independent"),
+        pytest.param(lambda S: FactorGraph(5, {}),
+                     "expected a collection of vertex labels, got 5", id="FactorGraph-int"),
+        pytest.param(lambda S: FactorGraph("ab", {}),
+                     "expected a collection of vertex labels, got 'ab'", id="FactorGraph-string"),
     ])
     def test_non_collection_argument_rejected(self, demo_graph, call, message):
         with pytest.raises(GraphError) as exc:

@@ -161,6 +161,19 @@ def test_negative():
 """
 
 
+TOY_MORE_CHECK_TESTS = """
+
+def test_zero():
+    assert check(Context(), 0) == {"zero": "x is zero"}
+
+
+def test_both():
+    ctx = Context()
+    check(ctx, -1)
+    assert check(ctx, 0) == {"negative": "failed", "zero": "x is zero"}
+"""
+
+
 def test_mutants_lists_the_failure_statements_no_test_catches(tmp_path):
     package = tmp_path / "src" / "toy"
     package.mkdir(parents=True)
@@ -187,13 +200,14 @@ def test_mutants_lists_the_failure_statements_no_test_catches(tmp_path):
         "3 mutants, 1 survived",
     ]
     assert (package / "checks.py").read_text() == TOY_CHECKS
-    (tests / "test_checks.py").write_text(
-        TOY_CHECK_TESTS + "\n\ndef test_zero():\n    assert check(Context(), 0) == {\"zero\": \"x is zero\"}\n"
-    )
+    (tests / "test_checks.py").write_text(TOY_CHECK_TESTS + TOY_MORE_CHECK_TESTS)
     proc = run()
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-2:] == [
-        "checks.py:13 killed by tests/test_checks.py::test_zero",
+    # every test that fails on a mutant is named, in the order pytest ran them
+    assert proc.stdout.splitlines() == [
+        "checks.py:6 killed by tests/test_checks.py::test_negative, tests/test_checks.py::test_both",
+        "checks.py:11 killed by tests/test_checks.py::test_negative, tests/test_checks.py::test_both",
+        "checks.py:13 killed by tests/test_checks.py::test_zero, tests/test_checks.py::test_both",
         "3 mutants, 0 survived",
     ]
 

@@ -44,7 +44,6 @@ from splitfactor.verify import (
     TWIN_ROWS,
     _check_pairs,
     _Context,
-    _find_pair_witnesses,
     _umbrella_free,
 )
 
@@ -55,6 +54,7 @@ from bruteforce import (
     brute_induced_cycles,
     brute_induced_paths,
     brute_is_induced,
+    brute_pair_laws,
     brute_path_laws,
     brute_umbrella,
 )
@@ -698,7 +698,7 @@ class TestCertificates:
 
     @pytest.mark.parametrize("S, phi", [
         (SplitGraph(["x", "y"], []), FactorGraph((), {})),
-        (one_clique_vertex("abcd"), FactorGraph("abcd", {("a", "b"): 1, ("c", "d"): 1})),
+        (one_clique_vertex("abcd"), FactorGraph(tuple("abcd"), {("a", "b"): 1, ("c", "d"): 1})),
     ], ids=["empty", "disconnected"])
     def test_diameter_bound_skips_bfs_without_connected_phi(self, S, phi, monkeypatch):
         _, bfs = spy_searches(monkeypatch)
@@ -756,16 +756,21 @@ class TestShortPathCertificate:
     ], ids=["exhaustive-3x3", "exhaustive-3x4", "exhaustive-4x4", "random-8x8"])
     def test_short_path_laws_hold_on_corpus(self, spec):
         lengths = Counter()
+        at_bound = 0
         for index in range(corpus_size(spec)):
             S = instance(spec, index)
             phi = build_by_formula(S)
             paths = enumerate_induced_paths(phi)
-            # the bound proved in verify_all's docstring
-            assert all(len(p) <= 2 * S.k_size for p in paths), instance_id(spec, index)
+            # the bound proved in verify_all's docstring: a path has at most
+            # one vertex more than the union of its neighbourhoods
+            N = {v: S.neighborhood(v) for v in phi.vertices}
+            room = [len(frozenset().union(*map(N.get, p))) + 1 - len(p) for p in paths]
+            assert min(room, default=0) >= 0, instance_id(spec, index)
+            at_bound += room.count(0)
             short = [p for p in paths if len(p) <= 3]
             lengths.update(map(len, short))
             assert check_paths(S, phi, short) == self.PASSING, instance_id(spec, index)
-        assert lengths[2] and lengths[3]
+        assert lengths[2] and lengths[3] and at_bound
 
     def test_clean_instance_checks_only_long_paths(self, monkeypatch):
         calls = spy(monkeypatch, splitfactor.verify, "_check_path")
@@ -840,17 +845,10 @@ class TestShortPathCertificate:
         ]
 
 
-def ordered_scan(S, phi):
-    """The context after the ordered pair scan alone."""
-    ctx = _Context(S, phi)
-    _find_pair_witnesses(ctx)
-    return ctx
-
-
 class TestPairCertificate:
-    """verify_all decides the four pair laws by one comparability test per
-    I-pair, and the cycle law by nesting-iff-zero: the ordered pair scan runs
-    only when a pair law fails, and the cycle check only when nesting does."""
+    """verify_all decides the four pair laws in one pass over the I-pairs
+    a < b, and the cycle law by nesting-iff-zero: the cycle check runs only
+    when nesting does not hold."""
 
     @staticmethod
     def fabricated(seed, count):
@@ -864,7 +862,7 @@ class TestPairCertificate:
     def test_nesting_implies_equality_twins_and_cycle_bound(self):
         premise = Counter()
         for S, phi in self.fabricated(77, 600):
-            failed = ordered_scan(S, phi).failed
+            failed, _ = brute_pair_laws(S, phi)
             if NESTING_IFF in failed:
                 continue
             premise[any(phi.edges())] += 1
@@ -873,38 +871,35 @@ class TestPairCertificate:
             assert all(len(c) <= 4 for c in brute_induced_cycles(phi))
         assert premise[True] > 100
 
-    def test_one_pass_fails_exactly_when_a_pair_law_does(self, monkeypatch):
-        scans = spy(monkeypatch, splitfactor.verify, "_find_pair_witnesses")
+    def test_one_pass_fails_exactly_when_a_pair_law_does(self):
         outcomes = Counter()
         for S, phi in self.fabricated(78, 2000):
-            expected = ordered_scan(S, phi)
+            expected = brute_pair_laws(S, phi)
             ctx = _Context(S, phi)
-            scans.clear()
             _check_pairs(ctx)
-            assert (ctx.failed, ctx.notes) == (expected.failed, expected.notes)
-            assert bool(scans) == bool(expected.failed)
-            outcomes[bool(expected.failed), NESTING_IFF in expected.failed] += 1
+            assert (ctx.failed, ctx.notes) == expected
+            failed = expected[0]
+            outcomes[bool(failed), NESTING_IFF in failed] += 1
         # passing, failing nesting, and failing only the other pair laws all occur
         assert min(outcomes.values()) > 50 and len(outcomes) == 3
 
-    def test_ordered_scan_and_cycle_check_run_only_on_failure(self, monkeypatch):
-        scans = spy(monkeypatch, splitfactor.verify, "_find_pair_witnesses")
+    def test_cycle_check_runs_only_on_failure(self, monkeypatch):
         cycles = spy(monkeypatch, splitfactor.verify, "_check_cycles")
         for spec in (CorpusSpec("exhaustive", 3, 3), CorpusSpec("random", 8, 8, count=300, seed=4242)):
             for index in range(corpus_size(spec)):
                 assert verify_all(instance(spec, index)).ok
-        assert scans == [] and cycles == []
+        assert cycles == []
         # a simple edge between unbalanced neighbourhoods fails only simple-edge-balanced
         S = SplitGraph.from_neighborhoods(list("xyz"), {"a": {"x"}, "b": {"y", "z"}})
         fake_builders(monkeypatch, chain(("a", "b"), (1,)))
         assert [c.name for c in verify_all(S).failures()] == [SIMPLE_BALANCED]
-        assert len(scans) == 1 and cycles == []
+        assert cycles == []
         # twins joined by an edge fail nesting-iff-zero
         labels = tuple("abcde")
         fake_builders(monkeypatch, ring(labels))
         failures = verify_all(one_clique_vertex(labels)).failures()
         assert CheckResult(CYCLE_BOUND, False, "cycle a b c d e; length 5") in failures
-        assert len(scans) == 2 and len(cycles) == 1
+        assert len(cycles) == 1
 
 
 class TestSweep:
