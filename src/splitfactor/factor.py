@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .graph import GraphError, SplitGraph, _label_index, _lookup, _mapping, _members, _pair, bits
+from .graph import GraphError, SplitGraph, _label_index, _lookup, _mapping, _members, _pair, _Value, bits
 
 
-class FactorGraph:
+class FactorGraph(_Value):
     """Loopless multigraph on labeled vertices with positive multiplicities.
 
     Vertex labels follow ``SplitGraph``'s rule: unique non-empty strings
@@ -34,11 +34,11 @@ class FactorGraph:
 
     vertices: tuple[str, ...]
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         vertices: Iterable[str],
         multiplicities: Mapping[tuple[str, str], int],
-    ):
+    ) -> "FactorGraph":
         verts = tuple(_members(vertices, "expected a collection of vertex labels"))
         index = _label_index(verts)
         given: dict[tuple[int, int], int] = {}  # every entry, zeros included
@@ -56,21 +56,9 @@ class FactorGraph:
                 raise GraphError(f"conflicting multiplicities for {a_lab!r}-{b_lab!r}")
             if m:
                 mult[key] = m
-        _assemble(self, verts, mult, index)
-
-    def __setattr__(self, name, value):
-        # _nbr_masks is set last, by _assemble and by pickle and copy, which follow __slots__
-        if hasattr(self, "_nbr_masks"):
-            raise AttributeError("FactorGraph is immutable")
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name):
-        raise AttributeError("FactorGraph is immutable")
+        return cls._new(*_fields(verts, mult, index))
 
     # -- queries --------------------------------------------------------------
-
-    def index_of(self, label: str) -> int:
-        return _lookup(self._index, label)
 
     def multiplicity(self, u: str, v: str) -> int:
         a, b = self.index_of(u), self.index_of(v)
@@ -114,8 +102,6 @@ class FactorGraph:
             return NotImplemented
         return self.vertices == other.vertices and self._mult == other._mult
 
-    __hash__ = None  # type: ignore[assignment]
-
     def __repr__(self) -> str:
         return f"FactorGraph(|V|={len(self.vertices)}, size={self.size()})"
 
@@ -149,29 +135,23 @@ class FactorGraph:
         return value
 
 
-def _assemble(
-    g: FactorGraph,
+def _fields(
     vertices: tuple[str, ...],
     mult: dict[tuple[int, int], int],
     index: dict[str, int] | None = None,
-) -> FactorGraph:
-    """Fill ``g`` from index space and return it.  ``mult`` holds the positive
-    multiplicities keyed (a, b) with a < b, by position in ``vertices``, and
-    ``index`` each vertex's position (built here when not given).  The simple
-    view's neighbor masks are derived from ``mult``'s keys.  Nothing is
-    checked."""
+) -> tuple:
+    """The fields of the factor graph on ``vertices``, in ``__slots__`` order.
+    ``mult`` holds the positive multiplicities keyed (a, b) with a < b, by
+    position in ``vertices``, and ``index`` each vertex's position (built
+    here when not given).  The simple view's neighbor masks are derived from
+    ``mult``'s keys.  Nothing is checked."""
     if index is None:
         index = dict(zip(vertices, range(len(vertices))))
     nbr = [0] * len(vertices)
     for a, b in mult:
         nbr[a] |= 1 << b
         nbr[b] |= 1 << a
-    init = object.__setattr__  # skips the immutability guard's lookups
-    init(g, "vertices", vertices)
-    init(g, "_index", index)
-    init(g, "_mult", mult)
-    init(g, "_nbr_masks", tuple(nbr))
-    return g
+    return vertices, index, mult, tuple(nbr)
 
 
 # -- builders ---------------------------------------------------------------------
@@ -192,7 +172,7 @@ def build_by_formula(S: SplitGraph) -> FactorGraph:
             m = (da - shared) * (degrees[b] - shared)
             if m:
                 mult[a, b] = m
-    return _assemble(object.__new__(FactorGraph), S.independent, mult)
+    return FactorGraph._new(*_fields(S.independent, mult))
 
 
 def build_by_enumeration(S: SplitGraph) -> FactorGraph:
@@ -225,7 +205,7 @@ def build_by_enumeration(S: SplitGraph) -> FactorGraph:
             for _ in bits(only_a):
                 count += ys
             mult[a, b] = count
-    return _assemble(object.__new__(FactorGraph), S.independent, mult)
+    return FactorGraph._new(*_fields(S.independent, mult))
 
 
 # -- output -----------------------------------------------------------------------

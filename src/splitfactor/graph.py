@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from functools import lru_cache
 
 
 class GraphError(ValueError):
@@ -54,24 +55,33 @@ def _subset_table(items: Sequence) -> tuple[tuple, ...]:
     return tuple(rows)
 
 
-# the set-bit indices of every byte value, ascending
-_BYTE_BITS = _subset_table(range(8))
+# one table per byte position, so the cache grows with the widest mask seen
+@lru_cache(maxsize=None)
+def _byte_bits(position: int) -> tuple[tuple[int, ...], ...]:
+    """For every byte value, the indices of its set bits when it is byte
+    ``position`` of a mask, ascending."""
+    return _subset_table(range(8 * position, 8 * position + 8))
+
+
+_BYTE_BITS = _byte_bits(0)
 
 
 def bits(mask: int) -> tuple[int, ...]:
     """Indices of the set bits of ``mask``, a non-negative int, ascending.
 
-    A mask below 256 reads them from a table; a wider one is taken apart
-    one lowest set bit at a time.
+    A mask below 256 reads them from one table; a wider one reads each
+    non-zero byte from the table of its position.
     """
     if mask < 256:
         return _BYTE_BITS[mask]
-    out = []
+    out: tuple[int, ...] = ()
+    position = 0
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+        if byte := mask & 255:
+            out += _byte_bits(position)[byte]
+        mask >>= 8
+        position += 1
+    return out
 
 
 def _check_label(label: object) -> str:
@@ -163,7 +173,39 @@ def _edge_ends(index: Mapping[str, int], k: int, a: str, b: str) -> tuple[int, i
     return ends
 
 
-class SplitGraph:
+class _Value:
+    """An immutable value whose fields are its slots.  ``_new`` writes them
+    once, in ``__slots__`` order: a subclass's validating ``__new__`` ends
+    in it, and pickle, copy and deepcopy rebuild a value through it.  Every
+    other write or delete raises AttributeError "<type> is immutable".
+    Subclasses hold a label index ``_index``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _new(cls, *fields: object):
+        """A value of this type with ``fields``; nothing is checked."""
+        value = object.__new__(cls)
+        for name, field in zip(cls.__slots__, fields):
+            object.__setattr__(value, name, field)
+        return value
+
+    def __reduce__(self):
+        return type(self)._new, tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def index_of(self, label: str) -> int:
+        return _lookup(self._index, label)
+
+
+class SplitGraph(_Value):
     """Immutable split graph ``(S, K, I)``.
 
     Construction validates the partition invariants: labels are unique
@@ -180,12 +222,12 @@ class SplitGraph:
     adj_masks: tuple[int, ...]
     k_size: int
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         clique: Iterable[str],
         independent: Iterable[str],
         edges: Iterable[tuple[str, str]] = (),
-    ):
+    ) -> "SplitGraph":
         clique_t = tuple(_members(clique, "expected a collection of vertex labels"))
         independent_t = tuple(_members(independent, "expected a collection of vertex labels"))
         labels = clique_t + independent_t
@@ -200,12 +242,7 @@ class SplitGraph:
             a, b = _edge_ends(index, k, *_pair(edge))
             adj[a] |= 1 << b
             adj[b] |= 1 << a
-        self.clique = clique_t
-        self.independent = independent_t
-        self.labels = labels
-        self.adj_masks = tuple(adj)
-        self.k_size = k
-        self._index = index
+        return cls._new(clique_t, independent_t, labels, tuple(adj), k, index)
 
     # -- construction helpers -------------------------------------------------
 
@@ -257,29 +294,11 @@ class SplitGraph:
         """The graph on this partition with adjacency rows ``adj_masks``,
         sharing its labels and label index.  Nothing is checked: the rows
         must already form a split graph over (K, I)."""
-        g = object.__new__(SplitGraph)
-        init = object.__setattr__  # skips the immutability guard's lookups
-        init(g, "clique", self.clique)
-        init(g, "independent", self.independent)
-        init(g, "labels", self.labels)
-        init(g, "adj_masks", adj_masks)
-        init(g, "k_size", self.k_size)
-        init(g, "_index", self._index)
-        return g
+        return SplitGraph._new(
+            self.clique, self.independent, self.labels, adj_masks, self.k_size, self._index
+        )
 
     # -- queries ---------------------------------------------------------------
-
-    def __setattr__(self, name, value):
-        # _index is set last, by __init__ and by pickle and copy, which follow __slots__
-        if hasattr(self, "_index"):
-            raise AttributeError("SplitGraph is immutable")
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name):
-        raise AttributeError("SplitGraph is immutable")
-
-    def index_of(self, label: str) -> int:
-        return _lookup(self._index, label)
 
     def has_vertex(self, label: str) -> bool:
         return isinstance(label, str) and label in self._index
@@ -318,8 +337,6 @@ class SplitGraph:
             and self.independent == other.independent
             and self.adj_masks == other.adj_masks
         )
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return (

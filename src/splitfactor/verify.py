@@ -77,8 +77,7 @@ way, each proof in the docstring of the function that relies on it:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial, reduce
-from operator import or_
+from functools import partial
 from typing import Iterable, Sequence
 
 from .corpus import CorpusSpec, corpus_size, instance, instance_id
@@ -312,8 +311,7 @@ class _Context:
     on failure.
     """
 
-    __slots__ = ("phi", "labels", "n", "deg", "nmask", "mult", "nbr", "clique_law", "failed",
-                 "notes")
+    __slots__ = ("phi", "labels", "n", "k", "deg", "nmask", "mult", "nbr", "failed", "notes")
 
     def __init__(self, S: SplitGraph, phi: FactorGraph | None = None):
         phi = build_by_formula(S) if phi is None else phi
@@ -329,10 +327,7 @@ class _Context:
         self.deg = [m.bit_count() for m in self.nmask]
         self.mult = phi.multiplicity_table()
         self.nbr = phi.neighbor_masks()
-        union = reduce(or_, self.nmask, 0)
-        # the clique-excess law speaks of a phi that is a path over all of I,
-        # with K the union of all I-neighborhoods
-        self.clique_law = union == (1 << S.k_size) - 1 and phi.simple_edge_count() == self.n - 1
+        self.k = S.k_size
         self.failed: dict[str, str] = {}
         self.notes: dict[str, str] = {}
 
@@ -463,13 +458,15 @@ def _check_first_edge(ctx: _Context, seq: tuple[int, ...], union: int) -> None:
     """Divisibility laws on the first edge of a head-maximal orientation whose
     path neighborhoods have union ``union``.
 
-    The clique-excess law speaks of a path through all of phi when K is the
-    union of all I-neighborhoods; the path's union is then K, so its clique
-    excess is the union excess.
+    The clique-excess law speaks of a phi that is a path over all of I,
+    with K the union of all I-neighborhoods.  An induced path through all
+    n vertices is phi's whole simple view, and its union is the union of all
+    I-neighborhoods, so the premise is that this union is K; the clique
+    excess is then the union excess.
     """
     excess = union.bit_count() - ctx.deg[seq[0]]
     first = ctx.mult[seq[0] * ctx.n + seq[1]]
-    clique = ctx.clique_law and len(seq) == ctx.n
+    clique = len(seq) == ctx.n and union.bit_count() == ctx.k
     if excess == 0:
         # impossible while first > 0; reaching this means the instance is inconsistent
         ctx.fail(DIV_UNION, seq, "degenerate divisor (internal inconsistency)")

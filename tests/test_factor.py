@@ -17,6 +17,7 @@ from splitfactor import (
     CorpusSpec,
     FactorGraph,
     GraphError,
+    SplitGraph,
     build_by_enumeration,
     build_by_formula,
     corpus_size,
@@ -25,6 +26,7 @@ from splitfactor import (
     generate,
     instance,
     to_dot,
+    verify_all,
 )
 
 from bruteforce import brute_diameter, brute_simple_view
@@ -144,6 +146,54 @@ def test_enumeration_builder_reads_each_moving_pairs_private_mask_once(spec, str
         assert read == list(private.values())
 
 
+# -- metamorphic laws: changes to S that must leave phi alone ------------------------
+
+
+BUILDERS = pytest.mark.parametrize(
+    "build", [build_by_formula, build_by_enumeration], ids=["formula", "enumeration"]
+)
+
+
+@BUILDERS
+@settings(max_examples=60, deadline=None)
+@given(split_graphs(k_max=5, i_max=5))
+def test_restricting_phi_is_phi_of_the_restricted_graph(build, S):
+    # a multiplicity depends only on its two neighborhoods, so phi(S) on each
+    # subset P of I is phi of S on K and P
+    phi = build(S)
+    for size in range(len(S.independent) + 1):
+        for part in combinations(S.independent, size):
+            restricted = SplitGraph.from_neighborhoods(
+                S.clique, {v: S.neighborhood(v) for v in part}
+            )
+            induced = {(u, v): m for u, v, m in phi.edges() if u in part and v in part}
+            assert build(restricted) == FactorGraph(part, induced)
+
+
+@BUILDERS
+@settings(max_examples=60, deadline=None)
+@given(split_graphs(k_max=5, i_max=5))
+def test_complementing_every_neighborhood_within_k_keeps_phi(build, S):
+    # the complement swaps each pair's two private sets, so their product stays
+    full = (1 << S.k_size) - 1
+    flipped = S.with_masks([full ^ mask for mask in S.adj_masks[S.k_size:]])
+    assert build(flipped) == build(S)
+    assert verify_all(flipped).ok
+
+
+@BUILDERS
+@pytest.mark.parametrize("joined", [True, False], ids=["joined-to-all-of-I", "joined-to-none"])
+@settings(max_examples=40, deadline=None)
+@given(split_graphs(k_max=4, i_max=5))
+def test_a_clique_vertex_seen_alike_by_all_of_i_keeps_phi(build, joined, S):
+    # a vertex in every neighborhood, or in none, is private to no one
+    extra = {"z"} if joined else set()
+    widened = SplitGraph.from_neighborhoods(
+        S.clique + ("z",), {v: S.neighborhood(v) | extra for v in S.independent}
+    )
+    assert build(widened) == build(S)
+
+
 def test_enumeration_builder_never_multiplies():
     # the count adds, so it cannot repeat the formula builder's product
     tree = ast.parse(textwrap.dedent(inspect.getsource(build_by_enumeration)))
@@ -260,9 +310,10 @@ class TestFactorGraphType:
             lambda phi: delattr(phi, "vertices"),
             lambda phi: delattr(phi, "_nbr_masks"),
         ],
-        ids=["set-sentinel", "del-public", "del-sentinel"],
+        ids=["set-private", "del-public", "del-private"],
     )
     def test_immutable_sentinel_and_delete(self, mutate):
+        # no field can be written or deleted after construction, private ones included
         phi = FactorGraph(("1", "2"), {("1", "2"): 3})
         with pytest.raises(AttributeError, match="FactorGraph is immutable"):
             mutate(phi)
@@ -274,11 +325,14 @@ class TestFactorGraphType:
         ids=["pickle", "copy", "deepcopy"],
     )
     def test_round_trips_past_the_guard(self, demo_graph, clone):
-        # each restores slots in __slots__ order, so _nbr_masks must stay last
+        # each rebuilds the graph from its fields, past the guard that refuses every later write
         phi = build_by_formula(demo_graph)
         twin = clone(phi)
         assert twin == phi and twin is not phi
         assert twin.neighbor_masks() == phi.neighbor_masks()
+        # the same graph built afresh through the validating constructor
+        listed = FactorGraph(phi.vertices, {(u, v): m for u, v, m in phi.edges()})
+        assert pickle.dumps(phi) == pickle.dumps(twin) == pickle.dumps(listed)
         with pytest.raises(AttributeError):
             twin.vertices = ()
 

@@ -139,12 +139,18 @@ class TestConstruction:
             lambda S: delattr(S, "adj_masks"),
             lambda S: delattr(S, "_index"),
         ],
-        ids=["set-sentinel", "del-public", "del-sentinel"],
+        ids=["set-private", "del-public", "del-private"],
     )
     def test_immutable_sentinel_and_delete(self, demo_graph, mutate):
+        # no field can be written or deleted after construction, private ones included
         with pytest.raises(AttributeError, match="SplitGraph is immutable"):
             mutate(demo_graph)
         assert demo_graph.index_of("1") == 4
+
+    def test_init_called_again_writes_nothing(self, demo_graph):
+        # a value is built and filled in __new__; the inherited __init__ writes nothing
+        demo_graph.__init__(["a"], ["b"])
+        assert demo_graph.clique == ("x", "y", "z", "t") and demo_graph.index_of("1") == 4
 
     @pytest.mark.parametrize(
         "k, clone",
@@ -159,9 +165,9 @@ class TestConstruction:
         ],
     )
     def test_round_trips_past_the_guard(self, demo_graph, k, clone):
-        # each restores slots in __slots__ order, so _index must stay last;
-        # beside the demo graph, a corpus graph with |K| = k whose sibling has
-        # listed its moves, which leaves nothing behind in the graph
+        # each rebuilds the graph from its fields, past the guard that refuses
+        # every later write; beside the demo graph, a corpus graph with |K| = k
+        # whose sibling has listed its moves, which leaves nothing behind in the graph
         if k is None:
             graph = demo_graph
         else:
@@ -298,9 +304,11 @@ class TestBits:
             assert bits(mask) == tuple(brute_bits(mask))
 
     def test_seeded_wide_masks(self):
+        # first masks whose non-zero bytes have empty bytes between them
+        masks = [1 << 8 | 1 << 40, 1 << 8, 0xFF << 16 | 1 << 63, 1 << 7 | 1 << 64 | 1 << 71]
         rng = random.Random(80)
-        for _ in range(3000):
-            mask = rng.getrandbits(rng.randint(1, 80))
+        masks += [rng.getrandbits(rng.randint(1, 80)) for _ in range(3000)]
+        for mask in masks:
             assert bits(mask) == tuple(brute_bits(mask))
 
     def test_returns_a_tuple(self):

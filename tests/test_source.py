@@ -93,3 +93,40 @@ def test_library_has_no_hand_filled_module_container():
     assert empty_containers(ast.parse(sample)) == [1, 2, 3, 4, 5, 6]
     found = [f"{name}:{line}" for name, tree in library_trees() for line in empty_containers(tree)]
     assert found == []
+
+
+def object_bypasses(tree):
+    """Line numbers of ``object.__setattr__`` and ``object.__new__`` outside
+    the class ``_Value``."""
+    inside = {
+        id(node)
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "_Value"
+        for node in ast.walk(cls)
+    }
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("__setattr__", "__new__")
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+        and id(node) not in inside
+    )
+
+
+def test_only_the_value_base_bypasses_the_immutability_guard():
+    # _Value alone writes fields past the guard, so a value has one constructor
+    # path and a hand-written bypass cannot come back
+    sample = (
+        "class _Value:\n"
+        "    def f(self):\n"
+        "        object.__setattr__(self, 'a', 1)\n"
+        "        return object.__new__(type(self))\n"
+        "class Graph(_Value):\n"
+        "    def g(self):\n"
+        "        init = object.__setattr__\n"
+        "        return object.__new__(Graph)\n"
+        "def h(x):\n"
+        "    object.__setattr__(x, 'a', 1)\n"
+        "    return super().__new__, x.__setattr__\n"
+    )
+    assert object_bypasses(ast.parse(sample)) == [7, 8, 10]
+    found = [f"{name}:{line}" for name, tree in library_trees() for line in object_bypasses(tree)]
+    assert found == []
