@@ -6,16 +6,19 @@ v, which factors as (d_u - c)(d_v - c) where c is the common neighbor
 count: each move pairs a private neighbor of u with a private neighbor
 of v.  Two builders are provided, so each serves as an oracle for the
 other.  One evaluates that product from degrees and common-neighbor
-counts.  The other counts each I-pair's moves from its private neighbor
-masks, N_u - N_v and N_v - N_u, one private neighbor of u at a time: it
-adds |N_v - N_u| once per x in N_u - N_v.  It never forms d - c, never
-multiplies and reads masks the product never computes; the two share
-only ``int.bit_count``, so a fault in the product does not carry over to
-the count.
+counts.  The other takes its multiplicities from ``switch_counts``, the
+2-switch oracle, which counts each I-pair's moves from its private
+neighbor masks, N_u - N_v and N_v - N_u, one private neighbor of u at a
+time: it adds |N_v - N_u| once per x in N_u - N_v.  It never forms
+d - c, never multiplies and reads masks the product never computes; the
+two share only ``int.bit_count``, so a fault in the product does not
+carry over to the count.  ``verify_all`` compares the oracle's count map
+with the formula graph directly, so it builds one factor graph.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .graph import GraphError, SplitGraph, _label_index, _lookup, _mapping, _members, _pair, _Value, bits
@@ -97,6 +100,14 @@ class FactorGraph(_Value):
     def simple_edge_count(self) -> int:
         return len(self._mult)
 
+    def matches_counts(
+        self, vertices: tuple[str, ...], counts: Mapping[tuple[int, int], int]
+    ) -> bool:
+        """Whether this is the graph on ``vertices`` whose positive
+        multiplicities are ``counts``, keyed (a, b) with a < b by position
+        in ``vertices``, as ``switch_counts`` returns them."""
+        return self.vertices == vertices and self._mult == counts
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FactorGraph):
             return NotImplemented
@@ -142,16 +153,25 @@ def _fields(
 ) -> tuple:
     """The fields of the factor graph on ``vertices``, in ``__slots__`` order.
     ``mult`` holds the positive multiplicities keyed (a, b) with a < b, by
-    position in ``vertices``, and ``index`` each vertex's position (built
-    here when not given).  The simple view's neighbor masks are derived from
-    ``mult``'s keys.  Nothing is checked."""
+    position in ``vertices``, and ``index`` each vertex's position (the
+    builders' shared index when not given).  The simple view's neighbor
+    masks are derived from ``mult``'s keys.  Nothing is checked."""
     if index is None:
-        index = dict(zip(vertices, range(len(vertices))))
+        index = _builder_index(vertices)
     nbr = [0] * len(vertices)
     for a, b in mult:
         nbr[a] |= 1 << b
         nbr[b] |= 1 << a
     return vertices, index, mult, tuple(nbr)
+
+
+# the builders' graphs on one independent set share its label index, as the
+# split graphs derived from one graph share theirs; the bound keeps a long
+# session from holding the index of every independent set it has seen
+@lru_cache(maxsize=16)
+def _builder_index(vertices: tuple[str, ...]) -> dict[str, int]:
+    """Each vertex's position in ``vertices``, which are already checked."""
+    return dict(zip(vertices, range(len(vertices))))
 
 
 # -- builders ---------------------------------------------------------------------
@@ -175,8 +195,9 @@ def build_by_formula(S: SplitGraph) -> FactorGraph:
     return FactorGraph._new(*_fields(S.independent, mult))
 
 
-def build_by_enumeration(S: SplitGraph) -> FactorGraph:
-    """Factor graph by counting each I-pair's 2-switches.
+def switch_counts(S: SplitGraph) -> dict[tuple[int, int], int]:
+    """The number of 2-switches of each I-pair that has any, keyed (a, b)
+    with a < b, by position in ``S.independent``.
 
     By the normal form in ``switches``, the moves of I-pair (a, b) are
     exactly the pairs (x, y) with x in only_a = N_a - N_b and y in
@@ -189,7 +210,7 @@ def build_by_enumeration(S: SplitGraph) -> FactorGraph:
     """
     masks = S.adj_masks[S.k_size :]
     n = len(masks)
-    mult: dict[tuple[int, int], int] = {}
+    counts: dict[tuple[int, int], int] = {}
     for a in range(n):
         ma = masks[a]
         for b in range(a + 1, n):
@@ -204,8 +225,14 @@ def build_by_enumeration(S: SplitGraph) -> FactorGraph:
             count = 0
             for _ in bits(only_a):
                 count += ys
-            mult[a, b] = count
-    return FactorGraph._new(*_fields(S.independent, mult))
+            counts[a, b] = count
+    return counts
+
+
+def build_by_enumeration(S: SplitGraph) -> FactorGraph:
+    """Factor graph by counting each I-pair's 2-switches: the graph on
+    ``S.independent`` whose multiplicities are ``switch_counts(S)``."""
+    return FactorGraph._new(*_fields(S.independent, switch_counts(S)))
 
 
 # -- output -----------------------------------------------------------------------

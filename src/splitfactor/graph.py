@@ -70,7 +70,10 @@ def bits(mask: int) -> tuple[int, ...]:
     """Indices of the set bits of ``mask``, a non-negative int, ascending.
 
     A mask below 256 reads them from one table; a wider one reads each
-    non-zero byte from the table of its position.
+    non-zero byte from the table of its position.  Once the mask is 2**16
+    or more, a zero byte is a run of them: the read jumps straight to the
+    byte that holds the lowest set bit, so a wide sparse mask costs its
+    non-zero bytes, not its width.
     """
     if mask < 256:
         return _BYTE_BITS[mask]
@@ -79,6 +82,11 @@ def bits(mask: int) -> tuple[int, ...]:
     while mask:
         if byte := mask & 255:
             out += _byte_bits(position)[byte]
+        elif mask > 0xFFFF:
+            skip = ((mask & -mask).bit_length() - 1) >> 3
+            mask >>= skip << 3
+            position += skip
+            continue
         mask >>= 8
         position += 1
     return out
@@ -182,12 +190,18 @@ class _Value:
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # each slot's member descriptor writes it past the guard; its __set__
+        # is looked up once per class, not once per field of every value
+        cls._slot_writers = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
     @classmethod
     def _new(cls, *fields: object):
         """A value of this type with ``fields``; nothing is checked."""
         value = object.__new__(cls)
-        for name, field in zip(cls.__slots__, fields):
-            object.__setattr__(value, name, field)
+        for write, field in zip(cls._slot_writers, fields):
+            write(value, field)
         return value
 
     def __reduce__(self):

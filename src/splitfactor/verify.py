@@ -8,7 +8,7 @@ it.  Exceptions are reserved for malformed inputs (precondition errors).
 
 The laws, by check name:
 
-- ``builders-agree``: formula and move-counting builders give the same map.
+- ``builders-agree``: the formula builder's map is the 2-switch count map.
 - ``size-equals-switch-degree``: total multiplicity = number of 2-switches.
 - ``nesting-iff-zero``: multiplicity 0 with d_v <= d_u iff N_v is contained
   in N_u (every ordered pair).
@@ -81,7 +81,7 @@ from functools import partial
 from typing import Iterable, Sequence
 
 from .corpus import CorpusSpec, corpus_size, instance, instance_id
-from .factor import FactorGraph, build_by_enumeration, build_by_formula
+from .factor import FactorGraph, build_by_formula, switch_counts
 from .graph import GraphError, SplitGraph, _members, bits
 
 BUILDERS_AGREE = "builders-agree"
@@ -672,9 +672,12 @@ def check_diameter_bound(S: SplitGraph, phi: FactorGraph | None = None) -> Check
 def verify_all(S: SplitGraph, instance: str | None = None) -> VerificationReport:
     """Run every structural check against one split graph.
 
-    Builds the factor graph both ways, checks the builder and size
-    identities, the pairwise laws, every path law over the induced paths,
-    and the two whole-graph laws, all on one check context.
+    Builds one factor graph, the formula one, and counts each I-pair's
+    2-switches with ``switch_counts``: builders-agree compares that count
+    map with phi's own map, and size-equals-switch-degree compares its sum,
+    the number of 2-switches, with phi's size.  Then it checks the pairwise
+    laws, every path law over the induced paths, and the two whole-graph
+    laws, all on one check context.
 
     No induced path of phi(S) has more than |K| + 1 vertices, so the path
     search needs no length cap, and a connected phi(S), whose shortest
@@ -704,10 +707,10 @@ def verify_all(S: SplitGraph, instance: str | None = None) -> VerificationReport
     When none of the builder and pair laws has failed, the per-path laws
     are checked on induced paths of 4 or more vertices only: on 2 and 3
     vertices they follow from those laws, so every result, witness and note
-    is the one the full pass would give.  The proof takes the enumeration
-    builder as the count of 2-switches, against which builders-agree checks
-    phi.  Write N_u for u's neighborhood in S, d_u for its size and
-    p_u = |N_u - N_v| across an edge uv of phi.
+    is the one the full pass would give.  The proof takes
+    ``switch_counts`` as the count of 2-switches, against which
+    builders-agree checks phi.  Write N_u for u's neighborhood in S, d_u
+    for its size and p_u = |N_u - N_v| across an edge uv of phi.
 
     - An edge uv, u head-maximal (d_u >= d_v, so p_u >= p_v): with the
       builders agreeing its multiplicity counts the 2-switches, p_u * p_v.
@@ -728,19 +731,20 @@ def verify_all(S: SplitGraph, instance: str | None = None) -> VerificationReport
     The cycle law is checked only when nesting-iff-zero has failed: that
     law alone makes the degree order umbrella-free, which rules out an
     induced cycle on 5 or more vertices (the proof is in ``_check_cycles``).
-    The short-path certificate trusts the enumeration builder's count of
+    The short-path certificate trusts ``switch_counts``'s count of
     2-switches; the cycle certificate does not, and holds for any phi.
     """
     if instance is None:
         instance = f"splitgraph-k{S.k_size}-i{len(S.independent)}-e{S.edge_count()}"
     ctx = _Context(S)
-    # one count per enumerated move, so its size is the 2-switch degree
-    phi_enum = build_by_enumeration(S)
+    # one count per move, so the counts sum to the 2-switch degree
+    counts = switch_counts(S)
+    moves = sum(counts.values())
     size = ctx.phi.size()
-    if ctx.phi != phi_enum:
+    if not ctx.phi.matches_counts(S.independent, counts):
         ctx.failed[BUILDERS_AGREE] = "formula and enumeration builders disagree"
-    if size != phi_enum.size():
-        ctx.failed[SIZE_DEGREE] = f"size {size} != switch degree {phi_enum.size()}"
+    if size != moves:
+        ctx.failed[SIZE_DEGREE] = f"size {size} != switch degree {moves}"
     _check_pairs(ctx)
     # with every law so far passing, the path laws hold below 4 vertices
     _check_paths(ctx, None, 2 if ctx.failed else 4)

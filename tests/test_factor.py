@@ -11,6 +11,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import splitfactor.factor
 from splitfactor import (
@@ -28,6 +29,7 @@ from splitfactor import (
     to_dot,
     verify_all,
 )
+from splitfactor.factor import switch_counts
 
 from bruteforce import brute_diameter, brute_simple_view
 from test_graph import split_graphs
@@ -195,12 +197,38 @@ def test_a_clique_vertex_seen_alike_by_all_of_i_keeps_phi(build, joined, S):
 
 
 def test_enumeration_builder_never_multiplies():
-    # the count adds, so it cannot repeat the formula builder's product
-    tree = ast.parse(textwrap.dedent(inspect.getsource(build_by_enumeration)))
-    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Mult)]
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert "product" not in names
+    # the count adds, so it cannot repeat the formula builder's product, and
+    # the builder around it only assembles the count map
+    for function in (switch_counts, build_by_enumeration):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+        assert not [node for node in ast.walk(tree) if isinstance(node, ast.Mult)]
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert "product" not in names
+
+
+@BUILDERS
+@settings(max_examples=60, deadline=None)
+@given(st.data(), split_graphs(k_max=5, i_max=5))
+def test_relabelling_k_keeps_phi_and_relabelling_i_relabels_it(build, data, S):
+    # a multiplicity depends on the sizes of two private sets, not on which
+    # clique labels or positions they hold; phi lives on I, so new names or a
+    # new order of I give phi those names and that order
+    phi = build(S)
+    rename_k = dict(zip(S.clique, data.draw(st.permutations([f"k{j}" for j in range(S.k_size)]))))
+    relabelled_k = SplitGraph.from_neighborhoods(
+        sorted(rename_k.values()),
+        {v: {rename_k[x] for x in S.neighborhood(v)} for v in S.independent},
+    )
+    assert build(relabelled_k) == phi
+    order = data.draw(st.permutations(S.independent))
+    rename_i = {v: f"i{j}" for j, v in enumerate(data.draw(st.permutations(S.independent)))}
+    relabelled_i = SplitGraph.from_neighborhoods(
+        S.clique, {rename_i[v]: S.neighborhood(v) for v in order}
+    )
+    assert build(relabelled_i) == FactorGraph(
+        [rename_i[v] for v in order], {(rename_i[u], rename_i[v]): m for u, v, m in phi.edges()}
+    )
 
 
 class TestFactorGraphType:

@@ -311,6 +311,18 @@ class TestBits:
         for mask in masks:
             assert bits(mask) == tuple(brute_bits(mask))
 
+    @pytest.mark.parametrize("width, share", [(80, 0.02), (200, 0.01)])
+    def test_sparse_wide_masks(self, width, share):
+        # long runs of zero bytes, which the read jumps over, between few set bits,
+        # the lowest at either end of a byte and the top bit at the mask's width
+        rng = random.Random(width)
+        masks = [1 << (width - 1) | 1 << 16, 1 << (width - 1) | 1 << 23, 1 << 16 | 1 << 255]
+        for _ in range(2000):
+            chosen = [b for b in range(width) if rng.random() < share]
+            masks.append(sum(1 << b for b in chosen) | 1 << (width - 1))
+        for mask in masks:
+            assert bits(mask) == tuple(brute_bits(mask))
+
     def test_returns_a_tuple(self):
         assert bits(0) == ()
         assert bits(0b1010) == (1, 3)

@@ -96,8 +96,8 @@ def test_library_has_no_hand_filled_module_container():
 
 
 def object_bypasses(tree):
-    """Line numbers of ``object.__setattr__`` and ``object.__new__`` outside
-    the class ``_Value``."""
+    """Line numbers of ``object.__setattr__``, ``object.__new__`` and any
+    descriptor's ``__set__`` outside the class ``_Value``."""
     inside = {
         id(node)
         for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "_Value"
@@ -105,9 +105,11 @@ def object_bypasses(tree):
     }
     return sorted(
         node.lineno for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr in ("__setattr__", "__new__")
-        and isinstance(node.value, ast.Name) and node.value.id == "object"
-        and id(node) not in inside
+        if isinstance(node, ast.Attribute) and id(node) not in inside
+        and (node.attr == "__set__" or (
+            node.attr in ("__setattr__", "__new__")
+            and isinstance(node.value, ast.Name) and node.value.id == "object"
+        ))
     )
 
 
@@ -118,6 +120,7 @@ def test_only_the_value_base_bypasses_the_immutability_guard():
         "class _Value:\n"
         "    def f(self):\n"
         "        object.__setattr__(self, 'a', 1)\n"
+        "        type(self).a.__set__(self, 1)\n"
         "        return object.__new__(type(self))\n"
         "class Graph(_Value):\n"
         "    def g(self):\n"
@@ -125,8 +128,9 @@ def test_only_the_value_base_bypasses_the_immutability_guard():
         "        return object.__new__(Graph)\n"
         "def h(x):\n"
         "    object.__setattr__(x, 'a', 1)\n"
+        "    Graph.a.__set__(x, 1)\n"
         "    return super().__new__, x.__setattr__\n"
     )
-    assert object_bypasses(ast.parse(sample)) == [7, 8, 10]
+    assert object_bypasses(ast.parse(sample)) == [8, 9, 11, 12]
     found = [f"{name}:{line}" for name, tree in library_trees() for line in object_bypasses(tree)]
     assert found == []

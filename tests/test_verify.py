@@ -17,7 +17,6 @@ from splitfactor import (
     FactorGraph,
     GraphError,
     SplitGraph,
-    build_by_enumeration,
     build_by_formula,
     check_cycle_bound,
     check_diameter_bound,
@@ -32,6 +31,7 @@ from splitfactor import (
     sweep,
     verify_all,
 )
+from splitfactor.factor import switch_counts
 from splitfactor.verify import (
     CYCLE_BOUND,
     DIAMETER_BOUND,
@@ -136,22 +136,31 @@ def degree_order(S, phi):
     return sorted(phi.vertices, key=S.degree, reverse=True)
 
 
+def count_map(phi):
+    """phi's positive multiplicities keyed (a, b), a < b, by vertex position:
+    the count map ``switch_counts`` would return for a graph whose factor
+    graph is phi."""
+    return {(phi.index_of(u), phi.index_of(v)): m for u, v, m in phi.edges()}
+
+
 def fake_builders(monkeypatch, phi):
-    """Make verify_all check ``phi`` in place of the factor graph of its input."""
-    for name in ("build_by_formula", "build_by_enumeration"):
-        monkeypatch.setattr(splitfactor.verify, name, lambda S: phi)
+    """Make verify_all check ``phi`` in place of the factor graph of its
+    input, and count phi's multiplicities as its 2-switches."""
+    monkeypatch.setattr(splitfactor.verify, "build_by_formula", lambda S: phi)
+    monkeypatch.setattr(splitfactor.verify, "switch_counts", lambda S: count_map(phi))
 
 
 def enumeration_one_move_short(monkeypatch):
-    """Make verify_all's enumeration builder count one move too few on phi's first edge."""
-    real = splitfactor.verify.build_by_enumeration
+    """Make verify_all's 2-switch count one move short on its first pair."""
+    real = splitfactor.verify.switch_counts
 
     def one_move_short(S):
-        phi = real(S)
-        (u, v, m), *rest = phi.edges()
-        return FactorGraph(phi.vertices, {(u, v): m - 1, **{(a, b): k for a, b, k in rest}})
+        counts = real(S)
+        first = min(counts)
+        counts[first] -= 1
+        return {key: m for key, m in counts.items() if m}
 
-    monkeypatch.setattr(splitfactor.verify, "build_by_enumeration", one_move_short)
+    monkeypatch.setattr(splitfactor.verify, "switch_counts", one_move_short)
 
 
 def spy(monkeypatch, owner, name):
@@ -603,25 +612,34 @@ class TestVerifyAll:
         import splitfactor.switches
         import splitfactor.verify
 
-        # the counting builder is the one 2-switch oracle; no move record or
+        # the count map is the one 2-switch oracle; no move record or
         # private label tuple is built along the way
-        calls = []
-        real = splitfactor.verify.build_by_enumeration
-
-        def counted(S):
-            calls.append(S)
-            return real(S)
+        calls = spy(monkeypatch, splitfactor.verify, "switch_counts")
 
         def forbidden(S):
             raise AssertionError("verify_all listed the moves")
 
-        monkeypatch.setattr(splitfactor.verify, "build_by_enumeration", counted)
         # also where a module would hold an imported copy of either lister
         for module in (splitfactor.factor, splitfactor.switches, splitfactor.verify):
             for name in ("enumerate_two_switches", "_private_label_pairs"):
                 monkeypatch.setattr(module, name, forbidden, raising=False)
         assert verify_all(demo_graph).ok
-        assert calls == [demo_graph]
+        assert calls == [(demo_graph,)]
+
+    def test_one_factor_graph_per_instance(self, demo_graph, monkeypatch):
+        # the count map is compared with phi's own map, so the formula graph
+        # is the only factor graph verify_all builds, passing or failing
+        built = spy(monkeypatch, FactorGraph, "_new")
+        spec = CorpusSpec("random", 8, 8, count=200, seed=4242)
+        graphs = [demo_graph, *(instance(spec, i) for i in range(corpus_size(spec)))]
+        for S in graphs:
+            built.clear()
+            assert verify_all(S).ok
+            assert len(built) == 1
+        enumeration_one_move_short(monkeypatch)
+        built.clear()
+        assert not verify_all(demo_graph).ok
+        assert len(built) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(split_graphs(k_max=5, i_max=5))
@@ -950,13 +968,11 @@ class TestSweep:
         reason="only forked workers see the patched builder",
     )
     def test_parallel_merges_failures_in_index_order(self, monkeypatch):
-        # an empty enumeration phi wherever the first independent vertex sees x1 and x3
-        def enumeration(S):
-            if S.adj_masks[S.k_size] == 0b101:
-                return FactorGraph(S.independent, {})
-            return build_by_enumeration(S)
+        # no 2-switch counted wherever the first independent vertex sees x1 and x3
+        def counts(S):
+            return {} if S.adj_masks[S.k_size] == 0b101 else switch_counts(S)
 
-        monkeypatch.setattr(splitfactor.verify, "build_by_enumeration", enumeration)
+        monkeypatch.setattr(splitfactor.verify, "switch_counts", counts)
         spec = CorpusSpec("exhaustive", 4, 3)
         inline = sweep(spec, workers=1)
         assert sweep(spec, workers=2) == inline
