@@ -63,7 +63,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--count", type=int, default=1000, help="instances in random mode")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=None,
-                   help=f"worker processes (default: usable cores); capped by ${THREADS_ENV}")
+                   help=f"worker processes, at most the usable cores (the default); capped by ${THREADS_ENV}")
     return parser
 
 
@@ -86,13 +86,13 @@ def _load(path: str) -> SplitGraph:
 
 
 def _resolve_workers(requested: int | None) -> int:
-    if requested is not None:
-        workers = requested
-    elif hasattr(os, "sched_getaffinity"):
+    if hasattr(os, "sched_getaffinity"):
         # the cores this process may run on; taskset or a cpuset can narrow them
-        workers = len(os.sched_getaffinity(0))
+        cores = len(os.sched_getaffinity(0))
     else:
-        workers = os.cpu_count() or 1
+        cores = os.cpu_count() or 1
+    # processes beyond the cores add forks and pickling, not speed
+    workers = cores if requested is None else min(requested, cores)
     cap_text = os.environ.get(THREADS_ENV)
     if cap_text is not None:
         try:

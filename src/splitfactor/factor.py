@@ -6,14 +6,11 @@ v, which factors as (d_u - c)(d_v - c) where c is the common neighbor
 count: each move pairs a private neighbor of u with a private neighbor
 of v.  Two builders are provided, so each serves as an oracle for the
 other.  One evaluates that product from degrees and common-neighbor
-counts.  The other takes its multiplicities from ``switch_counts``, the
-2-switch oracle, which counts each I-pair's moves from its private
-neighbor masks, N_u - N_v and N_v - N_u, one private neighbor of u at a
-time: it adds |N_v - N_u| once per x in N_u - N_v.  It never forms
-d - c, never multiplies and reads masks the product never computes; the
-two share only ``int.bit_count``, so a fault in the product does not
-carry over to the count.  ``verify_all`` compares the oracle's count map
-with the formula graph directly, so it builds one factor graph.
+counts.  The other takes its multiplicities from ``switch_counts`` in
+``switches``, the 2-switch oracle, which counts each I-pair's moves from
+its private neighbor masks without multiplying.  ``verify_all`` compares
+the oracle's count map with the formula graph directly, so it builds one
+factor graph.
 """
 
 from __future__ import annotations
@@ -22,6 +19,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .graph import GraphError, SplitGraph, _label_index, _lookup, _mapping, _members, _pair, _Value, bits
+from .switches import switch_counts
 
 
 class FactorGraph(_Value):
@@ -193,40 +191,6 @@ def build_by_formula(S: SplitGraph) -> FactorGraph:
             if m:
                 mult[a, b] = m
     return FactorGraph._new(*_fields(S.independent, mult))
-
-
-def switch_counts(S: SplitGraph) -> dict[tuple[int, int], int]:
-    """The number of 2-switches of each I-pair that has any, keyed (a, b)
-    with a < b, by position in ``S.independent``.
-
-    By the normal form in ``switches``, the moves of I-pair (a, b) are
-    exactly the pairs (x, y) with x in only_a = N_a - N_b and y in
-    only_b = N_b - N_a.  So the count adds |only_b| once per x in only_a,
-    which is the number of moves, and a pair is skipped when either mask
-    is empty.  No label is read, no move is listed and nothing is
-    multiplied: the count never forms the degree differences of
-    ``build_by_formula``'s product, and reads private masks that the
-    formula never computes, so it stays independent of that product.
-    """
-    masks = S.adj_masks[S.k_size :]
-    n = len(masks)
-    counts: dict[tuple[int, int], int] = {}
-    for a in range(n):
-        ma = masks[a]
-        for b in range(a + 1, n):
-            mb = masks[b]
-            only_a = ma & ~mb
-            if not only_a:
-                continue
-            only_b = mb & ~ma
-            if not only_b:
-                continue
-            ys = only_b.bit_count()
-            count = 0
-            for _ in bits(only_a):
-                count += ys
-            counts[a, b] = count
-    return counts
 
 
 def build_by_enumeration(S: SplitGraph) -> FactorGraph:

@@ -8,6 +8,17 @@ x, y in K where ux, vy are deleted and uy, vx inserted.  The move is
 identified by the unordered pair of deleted edges; the canonical
 representative puts the I-endpoint with the smaller internal index
 first.
+
+The moves of an I-pair {u, v} are thus fixed by its two private neighbor
+masks, N_u - N_v and N_v - N_u: each move pairs a private neighbor of u
+with one of v.  One scan of the I-pairs, ``_private_pairs``, yields those
+masks to both readers.  ``enumerate_two_switches`` lists each pair's
+moves by label.  ``switch_counts`` is the 2-switch oracle behind
+``factor.build_by_enumeration``: it adds |N_v - N_u| once per x in
+N_u - N_v.  It never forms d - c, never multiplies and reads masks that
+the formula builder's product never computes; the two share only
+``int.bit_count``, so a fault in the product does not carry over to the
+count.
 """
 
 from __future__ import annotations
@@ -16,7 +27,7 @@ from functools import lru_cache
 from itertools import chain, product, repeat
 from typing import Callable, Iterator, NamedTuple
 
-from .graph import GraphError, SplitGraph, _subset_table
+from .graph import GraphError, SplitGraph, _subset_table, bits
 
 
 class TwoSwitch(NamedTuple):
@@ -67,21 +78,18 @@ def _mask_labeler(clique: tuple[str, ...]) -> Callable[[int], tuple[str, ...]]:
     return labels_of
 
 
-def _private_label_pairs(
-    S: SplitGraph,
-) -> Iterator[tuple[int, int, tuple[str, ...], tuple[str, ...]]]:
-    """Each I-pair with 2-switches, as (a, b, xs, ys).
+def _private_pairs(S: SplitGraph) -> Iterator[tuple[int, int, int, int]]:
+    """Each I-pair with 2-switches, as (a, b, only_a, only_b).
 
     a < b are indices into ``S.independent``, visited in index order, and
-    xs, ys are tuples of the labels of the clique vertices adjacent to a
-    but not b, and to b but not a, in ascending index order; a pair is
-    skipped when either would be empty.  The pair's moves are exactly the
-    pairs (x, y) with x in xs and y in ys.  The labels are read from the
-    table of S's clique labels, one lookup per mask byte.
+    only_a, only_b are the clique masks N_a - N_b and N_b - N_a of the
+    vertices adjacent to a but not b, and to b but not a; a pair is
+    skipped when either is empty.  By the normal form, the pair's moves
+    are exactly the pairs (x, y) with x in only_a and y in only_b.  No
+    label is read.
     """
     masks = S.adj_masks[S.k_size :]
     n = len(masks)
-    labels_of = _mask_labeler(S.clique)
     for a in range(n):
         ma = masks[a]
         for b in range(a + 1, n):
@@ -92,7 +100,25 @@ def _private_label_pairs(
             only_b = mb & ~ma
             if not only_b:
                 continue
-            yield a, b, labels_of(only_a), labels_of(only_b)
+            yield a, b, only_a, only_b
+
+
+def switch_counts(S: SplitGraph) -> dict[tuple[int, int], int]:
+    """The number of 2-switches of each I-pair that has any, keyed (a, b)
+    with a < b, by position in ``S.independent``.
+
+    For each pair from ``_private_pairs`` it adds |only_b| once per x in
+    only_a, which is the number of the pair's moves.  No label is read,
+    no move is listed and nothing is multiplied.
+    """
+    counts: dict[tuple[int, int], int] = {}
+    for a, b, only_a, only_b in _private_pairs(S):
+        ys = only_b.bit_count()
+        count = 0
+        for _ in bits(only_a):
+            count += ys
+        counts[a, b] = count
+    return counts
 
 
 def enumerate_two_switches(S: SplitGraph) -> list[TwoSwitch]:
@@ -101,12 +127,14 @@ def enumerate_two_switches(S: SplitGraph) -> list[TwoSwitch]:
     For each unordered I-pair {u, v} the moves are exactly the pairs
     (x, y) with x a private neighbor of u and y a private neighbor of v.
     Output is sorted by the internal indices of (u, v, x, y): u before v,
-    then x, then y.
+    then x, then y.  The labels of each private mask are read from the
+    table of S's clique labels, one lookup per mask byte.
     """
     independent = S.independent
+    labels_of = _mask_labeler(S.clique)
     moves = chain.from_iterable(
-        product((independent[a],), xs, (independent[b],), ys)
-        for a, b, xs, ys in _private_label_pairs(S)
+        product((independent[a],), labels_of(only_a), (independent[b],), labels_of(only_b))
+        for a, b, only_a, only_b in _private_pairs(S)
     )
     # one pass over every pair's moves; tuple.__new__ builds each TwoSwitch
     # without Python-level code

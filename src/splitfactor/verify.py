@@ -81,8 +81,9 @@ from functools import partial
 from typing import Iterable, Sequence
 
 from .corpus import CorpusSpec, corpus_size, instance, instance_id
-from .factor import FactorGraph, build_by_formula, switch_counts
+from .factor import FactorGraph, build_by_formula
 from .graph import GraphError, SplitGraph, _members, bits
+from .switches import switch_counts
 
 BUILDERS_AGREE = "builders-agree"
 SIZE_DEGREE = "size-equals-switch-degree"

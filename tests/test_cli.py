@@ -265,8 +265,8 @@ class TestSweep:
         assert "must be an integer" in capsys.readouterr().err
 
     @staticmethod
-    def default_workers(monkeypatch):
-        """The worker count a sweep without --workers hands to ``sweep``."""
+    def default_workers(monkeypatch, *flags):
+        """The worker count a sweep with ``flags`` hands to ``sweep``."""
         import splitfactor.cli
         from splitfactor import SweepSummary
 
@@ -278,9 +278,15 @@ class TestSweep:
 
         monkeypatch.delenv("SPLITFACTOR_THREADS", raising=False)
         monkeypatch.setattr(splitfactor.cli, "sweep", fake_sweep)
-        assert main(["sweep", "--kmax", "2", "--imax", "2"]) == 0
+        assert main(["sweep", "--kmax", "2", "--imax", "2", *flags]) == 0
         (workers,) = requested
         return workers
+
+    def test_requested_workers_capped_at_usable_cores(self, monkeypatch):
+        # no process starts: the fake sweep only records the count it is handed
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert self.default_workers(monkeypatch, "--workers", "1000") == 2
+        assert self.default_workers(monkeypatch, "--workers", "1") == 1
 
     def test_default_workers_are_usable_cores(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)

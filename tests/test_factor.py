@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import splitfactor.factor
+import splitfactor.switches
 from splitfactor import (
     CorpusSpec,
     FactorGraph,
@@ -29,7 +29,7 @@ from splitfactor import (
     to_dot,
     verify_all,
 )
-from splitfactor.factor import switch_counts
+from splitfactor.switches import _private_pairs, switch_counts
 
 from bruteforce import brute_diameter, brute_simple_view
 from test_graph import split_graphs
@@ -132,13 +132,13 @@ def test_enumeration_builder_reads_each_moving_pairs_private_mask_once(spec, str
     # the count walks N_a - N_b one private neighbour at a time: bits is called
     # once per I-pair with moves, in (a, b) order, on the mask of the x's of its moves
     read = []
-    real = splitfactor.factor.bits
+    real = splitfactor.switches.bits
 
     def spy(mask):
         read.append(mask)
         return real(mask)
 
-    monkeypatch.setattr(splitfactor.factor, "bits", spy)
+    monkeypatch.setattr(splitfactor.switches, "bits", spy)
     for S in differential_graphs(spec, stride):
         private = {}
         for m in enumerate_two_switches(S):
@@ -198,13 +198,16 @@ def test_a_clique_vertex_seen_alike_by_all_of_i_keeps_phi(build, joined, S):
 
 def test_enumeration_builder_never_multiplies():
     # the count adds, so it cannot repeat the formula builder's product, and
-    # the builder around it only assembles the count map
-    for function in (switch_counts, build_by_enumeration):
+    # the builder around it only assembles the count map; the count and the
+    # scan it reads work on masks alone and read no label
+    for function in (_private_pairs, switch_counts, build_by_enumeration):
         tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
         assert not [node for node in ast.walk(tree) if isinstance(node, ast.Mult)]
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert "product" not in names
+        if function is not build_by_enumeration:
+            assert not names & {"labels", "clique", "independent"}
 
 
 @BUILDERS

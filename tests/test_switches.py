@@ -20,7 +20,7 @@ from splitfactor import (
     splitmix64,
 )
 from splitfactor import switches as switches_module
-from splitfactor.switches import _private_label_pairs
+from splitfactor.switches import _mask_labeler, _private_pairs
 
 from bruteforce import (
     brute_apply_two_switch,
@@ -276,7 +276,11 @@ def test_private_labels_match_low_bit_oracle(k):
         draws = [splitmix64(k, 16 * trial + j) for j in range(16)]
         for masks in (draws[:8], [a & b for a, b in zip(draws[:8], draws[8:])]):
             G = S.with_masks([m & k_mask for m in masks])
-            got = list(_private_label_pairs(G))
+            labels_of = _mask_labeler(G.clique)
+            got = [
+                (a, b, labels_of(only_a), labels_of(only_b))
+                for a, b, only_a, only_b in _private_pairs(G)
+            ]
             assert all(type(xs) is tuple and type(ys) is tuple for *_, xs, ys in got)
             assert [(a, b, list(xs), list(ys)) for a, b, xs, ys in got] == (
                 brute_private_label_pairs(G)

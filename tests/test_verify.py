@@ -31,7 +31,7 @@ from splitfactor import (
     sweep,
     verify_all,
 )
-from splitfactor.factor import switch_counts
+from splitfactor.switches import switch_counts
 from splitfactor.verify import (
     CYCLE_BOUND,
     DIAMETER_BOUND,
@@ -619,9 +619,10 @@ class TestVerifyAll:
         def forbidden(S):
             raise AssertionError("verify_all listed the moves")
 
-        # also where a module would hold an imported copy of either lister
+        # also where a module would hold an imported copy of the lister or
+        # of the clique label table
         for module in (splitfactor.factor, splitfactor.switches, splitfactor.verify):
-            for name in ("enumerate_two_switches", "_private_label_pairs"):
+            for name in ("enumerate_two_switches", "_mask_labeler"):
                 monkeypatch.setattr(module, name, forbidden, raising=False)
         assert verify_all(demo_graph).ok
         assert calls == [(demo_graph,)]
